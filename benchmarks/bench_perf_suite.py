@@ -1,11 +1,9 @@
-"""Tracked solver perf suite: incremental vs. reference vs. adaptive.
+"""Tracked solver perf suite: incremental vs. the reference baseline.
 
-Times representative scenarios under every flow-solver mode the fabric
-supports — the component-aware incremental solver, the pre-PR reference
-solver (global synchronous progressive filling, retained as
-``DeploymentConfig(solver="reference")``), and the adaptive ``"auto"``
-mode that picks a fill strategy per mutation burst
-(:mod:`repro.sim.select`):
+Times representative scenarios under the component-aware incremental
+solver (the only production mode) and, where it is tractable, the
+reference solver (global synchronous progressive filling, retained as
+``DeploymentConfig(solver="reference")`` as a fixed baseline):
 
 * **fig2_baseline** — the Fig. 2-shaped dd bag (the repo's hottest shape:
   every stripe fan-out rebalances the victim NICs),
@@ -14,45 +12,34 @@ mode that picks a fill strategy per mutation burst
 * **fault_storm** — the §V-C revocation storm over a replicated
   population (bursts of evacuations + repairs),
 * **das5x16_fig2** — the Fig. 2 shape on a ×16 DAS-5, the ROADMAP's
-  1000+-node scale target.  Run with the incremental, auto, and sharded
-  solvers (every mode must be byte-identical and land within the
-  wall-time gate); the reference solver is quadratic in links here and
-  is deliberately not part of the gate,
+  1000+-node scale target, gated on a wall-time ceiling; the reference
+  solver is quadratic in links here and deliberately not run,
 * **das5x64_fig2** — the Fig. 2 shape on a ×64 DAS-5 (4352 nodes,
   ``n_victim=60`` so the paper's 68-node setup scales exactly).  The
   memory-lean link-state target: gated on wall time **and** peak RSS,
 * **fault_storm_large** — the revocation storm at 128 nodes, the shape
   behind the old fault_storm 0.81x regression, now required to win.
 
-The ``"sharded"`` cells pin ``solver_jobs=2`` so the component-sharding
-dispatch path (worker pool, pickled SoA slices, creation-order merge)
-is exercised even on single-core runners; byte-identity across worker
-boundaries is part of the gate.  ``das5x16_fig2`` additionally runs a
-``"sharded-j4"`` cell (``solver_jobs=4``): its wall is recorded
-everywhere, and the **≥ 1.5× vs incremental** speedup gate arms only on
-full runs with ≥ 4 usable cores (the sweep-parallel ``gate_armed``
-posture — a ≥ 4-core runner replaying cached results whose gate never
-armed fails loudly and demands a re-measurement instead of silently
-skipping).  Each forked measurement child also records its peak RSS
+Each forked measurement child also records its peak RSS
 (``ru_maxrss``), published per cell and gated by ``rss_kb_<solver>``
 ceilings in ``perf_budget.json``.
 
-Each scenario must produce **byte-identical simulated outputs** in every
-mode it runs (runtimes, NIC figures, monitor series, fault counters);
-the suite asserts that, reports the solver counters from
+Each scenario must produce **byte-identical simulated outputs** in both
+modes where it runs both (runtimes, NIC figures, monitor series, fault
+counters); the suite asserts that, reports the solver counters from
 :data:`flownet_stats`, and gates:
 
-* incremental ≥ 5× on fig2_baseline (full scale, unchanged),
-* **auto ≥ 1× reference everywhere and ≥ 10× on fig2_baseline** —
-  the adaptive selector may never lose to the baseline it replaces,
-* counter budgets and the das5x16 wall-time ceilings from
-  ``perf_budget.json`` (counter gates are exact, wall gates generous so
-  the CI lane is stable on shared runners).
+* incremental ≥ 10× reference on fig2_baseline, ≥ 1× on fig2_baseline
+  and hpcc_under_montage, ≥ 0.9× on the storms (full scale only),
+* incremental solver work ≤ reference on the storms (any scale),
+* counter budgets and wall/RSS ceilings from ``perf_budget.json``
+  (counter gates are exact, wall gates generous so the CI lane is
+  stable on shared runners).
 
-Results land in ``results/perf-suite.json`` (or ``-smoke``) and
-``BENCH_perf.json`` at the repo root, the perf trajectory later PRs
-regress against; the auto mode's per-flush decision trace lands in
-``results/solver-decisions[-smoke].json`` for audit.  ``PERF_SMOKE=1``
+Every run measures afresh (nothing is replayed from an earlier run) and
+publishes only after every gate passed: ``results/perf-suite.json`` (or
+``-smoke``) and, for full runs, ``BENCH_perf.json`` at the repo root,
+the perf trajectory later PRs regress against.  ``PERF_SMOKE=1``
 shrinks every scenario for CI.
 """
 
@@ -71,14 +58,12 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX fallback
     resource = None
 
-from _harness import load_cached, save_cached
 from repro.core import DeploymentConfig, MemFSSDeployment
 from repro.core.experiment import baseline_run
 from repro.core.slowdown import BackgroundWorkload, _run_suite
 from repro.faults import FaultInjector, fault_stats, revocation_storm
 from repro.metrics import render_table
-from repro.sim import (flownet_stats, reset_selection_log,
-                       selection_snapshot, selection_summary)
+from repro.sim import flownet_stats
 from repro.tenants import hpcc_suite
 from repro.units import GB, MB
 from repro.workflows import montage
@@ -89,14 +74,7 @@ ROOT = Path(__file__).resolve().parent.parent
 RESULTS = Path(__file__).resolve().parent / "results"
 BUDGET = json.loads((Path(__file__).parent / "perf_budget.json").read_text())
 
-SOLVERS = ("incremental", "auto", "reference")
-#: Worker count pinned for the "sharded" cells: explicit (not
-#: os.cpu_count()) so the dispatch + IPC + merge path runs even on a
-#: single-core CI box, and so cached results are host-independent.
-SHARD_JOBS = 2
-#: Longest stored decision trace per scenario (the in-process log caps
-#: at 4096; the stored file records how much was cut on top of that).
-MAX_TRACE = 500
+SOLVERS = ("incremental", "reference")
 #: PR 6's recorded das5x16_fig2 incremental wall (BENCH_perf.json at
 #: commit a9a9e9a).  The vectorized fixpoint + batched HRW hashing must
 #: beat it by >= 1.5x on the same full-scale shape.
@@ -135,36 +113,17 @@ def _fig2_signature(m) -> dict:
     }
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
-def _cfg(solver: str, **kwargs) -> DeploymentConfig:
-    """A deployment config for one perf cell; "sharded" pins its worker
-    count to SHARD_JOBS (host-independent, forces real dispatch) and
-    "sharded-j4" is the sharded solver at 4 workers — the cell behind
-    the core-gated das5x16 dispatch-speedup assertion."""
-    jobs = None
-    if solver == "sharded":
-        jobs = SHARD_JOBS
-    elif solver == "sharded-j4":
-        solver, jobs = "sharded", 4
-    return DeploymentConfig(solver=solver, solver_jobs=jobs, **kwargs)
-
-
 def _fig2(solver: str) -> dict:
     m = baseline_run(alpha=0.25, n_tasks=FIG2_TASKS, file_size=FIG2_FILE,
-                     config=_cfg(solver), keep_series=True)
+                     config=DeploymentConfig(solver=solver),
+                     keep_series=True)
     return _fig2_signature(m)
 
 
 def _das5x16_fig2(solver: str) -> dict:
     m = baseline_run(alpha=0.25, n_tasks=DAS5X16_TASKS,
                      file_size=DAS5X16_FILE,
-                     config=_cfg(solver, scale=16),
+                     config=DeploymentConfig(solver=solver, scale=16),
                      keep_series=True)
     return _fig2_signature(m)
 
@@ -174,7 +133,8 @@ def _das5x64_fig2(solver: str) -> dict:
     # x64 lands exactly on the 4352-node target shape.
     m = baseline_run(alpha=0.25, n_tasks=DAS5X64_TASKS,
                      file_size=DAS5X64_FILE,
-                     config=_cfg(solver, n_victim=60, scale=64),
+                     config=DeploymentConfig(solver=solver, n_victim=60,
+                                             scale=64),
                      keep_series=True)
     return _fig2_signature(m)
 
@@ -243,12 +203,11 @@ def _fault_storm_large(solver: str) -> dict:
 
 #: name -> (runner, recorded params, solver modes to run).  The x16/x64
 #: scale-ups skip the reference solver on purpose: its whole-graph dict
-#: fill is quadratic in links there, and the gate is cross-mode identity
-#: + the wall/RSS ceilings, not a reference speedup.
+#: fill is quadratic in links there, and the gate is the wall/RSS
+#: ceilings, not a reference speedup.
 SCENARIOS = {
     "fig2_baseline": (_fig2, {"alpha": 0.25, "n_tasks": FIG2_TASKS,
-                              "file_mb": FIG2_FILE / MB},
-                      SOLVERS + ("sharded",)),
+                              "file_mb": FIG2_FILE / MB}, SOLVERS),
     "hpcc_under_montage": (_hpcc_under_montage,
                            {"suite_scale": HPCC_SCALE,
                             "warmup_s": HPCC_WARMUP}, SOLVERS),
@@ -258,13 +217,11 @@ SCENARIOS = {
     "das5x16_fig2": (_das5x16_fig2,
                      {"alpha": 0.25, "scale": 16, "n_nodes": 640,
                       "n_tasks": DAS5X16_TASKS,
-                      "file_mb": DAS5X16_FILE / MB},
-                     ("incremental", "auto", "sharded", "sharded-j4")),
+                      "file_mb": DAS5X16_FILE / MB}, ("incremental",)),
     "das5x64_fig2": (_das5x64_fig2,
                      {"alpha": 0.25, "scale": 64, "n_victim": 60,
                       "n_nodes": 4352, "n_tasks": DAS5X64_TASKS,
-                      "file_mb": DAS5X64_FILE / MB},
-                     ("incremental", "auto", "sharded")),
+                      "file_mb": DAS5X64_FILE / MB}, ("incremental",)),
     "fault_storm_large": (_fault_storm_large,
                           {"n_files": STORM_L_FILES,
                            "scale": STORM_L_SCALE,
@@ -286,7 +243,6 @@ PAIRED = frozenset({"fault_storm"})
 
 def _timed_rep(fn, solver: str) -> tuple[float, dict]:
     flownet_stats.reset()
-    reset_selection_log()
     gc.collect()
     t = time.perf_counter()
     sig = fn(solver)
@@ -300,28 +256,19 @@ def _rss_peak_kb() -> int | None:
     return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 
-def _base_payload(wall: float, signature: dict, solver: str) -> dict:
+def _base_payload(wall: float, signature: dict) -> dict:
     """Payload for one cell; call right after its rep (reads globals)."""
-    payload = {
+    return {
         "wall": wall,
         "signature": signature,
         "counters": flownet_stats.snapshot(),
     }
-    if solver in ("auto", "sharded"):
-        trace = selection_snapshot()
-        payload["decisions"] = {
-            "summary": selection_summary(),
-            "trace": trace[:MAX_TRACE],
-            "trace_truncated": max(0, len(trace) - MAX_TRACE),
-        }
-    return payload
 
 
 def _solver_payload(name: str, solver: str) -> dict:
     """Measure one (scenario, solver) cell: signature, counters, wall.
 
-    Signatures, counters and the selector trace are deterministic, so
-    one rep covers them.  Wall clocks are not: the speedup gates compare
+    Signatures and counters are deterministic, so one rep covers them.  Wall clocks are not: the speedup gates compare
     best-of-N walls, with more reps the shorter the wall (a scheduling
     hiccup or a cold first rep is a larger fraction of a small wall).
     Smoke runs gate on counters, not speedups, and take a single rep.
@@ -329,7 +276,7 @@ def _solver_payload(name: str, solver: str) -> dict:
     fn, _, _ = SCENARIOS[name]
     rss0 = _rss_peak_kb()
     wall, signature = _timed_rep(fn, solver)
-    payload = _base_payload(wall, signature, solver)
+    payload = _base_payload(wall, signature)
     if SMOKE:
         extra = 0
     elif wall < 5.0:
@@ -356,7 +303,7 @@ def _paired_payloads(name: str) -> dict:
     """Measure every solver mode of one scenario, reps interleaved.
 
     The first round doubles as the cold-start warmup: it seeds each
-    payload (signature, counters, trace) but its walls are excluded
+    payload (signature, counters) but its walls are excluded
     from the best-of timing, mirroring :func:`_solver_payload`.
     """
     fn, _, solvers = SCENARIOS[name]
@@ -366,7 +313,7 @@ def _paired_payloads(name: str) -> dict:
         for solver in solvers:
             wall, sig = _timed_rep(fn, solver)
             if solver not in payloads:
-                payloads[solver] = _base_payload(wall, sig, solver)
+                payloads[solver] = _base_payload(wall, sig)
                 if not SMOKE:
                     payloads[solver]["wall"] = math.inf
             else:
@@ -419,48 +366,23 @@ def _measure_scenario(name: str, solvers: tuple) -> dict:
 
 
 def _publish(data: dict) -> None:
-    # The decision trace is audit data: always written next to the suite
-    # results, never into the repo-root trajectory file (it is bulky).
+    """Write the suite results; the repo-root trajectory file mirrors
+    *full* runs only (the smoke lane writes just its results file)."""
     RESULTS.mkdir(exist_ok=True)
-    trace_name = ("solver-decisions-smoke.json" if data["smoke"]
-                  else "solver-decisions.json")
-    (RESULTS / trace_name).write_text(json.dumps(
-        data.get("selector_decisions", {}), indent=2, sort_keys=True))
-    # The repo-root trajectory file always mirrors the *full* run; the
-    # smoke lane only writes its own results/perf-suite-smoke.json.
+    text = json.dumps(data, indent=2, sort_keys=True)
+    (RESULTS / f"{KEY}.json").write_text(text)
     if not data["smoke"]:
-        slim = {k: v for k, v in data.items() if k != "selector_decisions"}
-        (ROOT / "BENCH_perf.json").write_text(
-            json.dumps(slim, indent=2, sort_keys=True))
+        (ROOT / "BENCH_perf.json").write_text(text)
 
 
 def run_perf_suite() -> dict:
-    cached = load_cached(KEY)
-    if cached is not None:
-        _publish(cached)
-        return cached
+    """Measure every scenario afresh; publishes nothing (see the test)."""
     t0 = time.time()
-    cpu_count = _usable_cpus()
-    data: dict = {"smoke": SMOKE, "scenarios": {}, "selector_decisions": {},
-                  "cpu_count": cpu_count,
-                  # Whether the sharded -j4 >= 1.5x dispatch-speedup
-                  # gate applied to this measurement.  Stored so
-                  # replayed (cached) results cannot silently skip the
-                  # gate on a runner that could have armed it.
-                  "shard_gate_armed": (not SMOKE) and cpu_count >= 4}
+    data: dict = {"smoke": SMOKE, "scenarios": {}}
     for name, (fn, params, solvers) in SCENARIOS.items():
-        signatures, walls, counters, rss = {}, {}, {}, {}
         got_all = _measure_scenario(name, solvers)
-        for solver in solvers:
-            got = got_all[solver]
-            signatures[solver] = got["signature"]
-            walls[solver] = got["wall"]
-            counters[solver] = got["counters"]
-            if got.get("rss_peak_kb") is not None:
-                rss[solver] = got["rss_peak_kb"]
-            if "decisions" in got:
-                data["selector_decisions"].setdefault(
-                    name, {})[solver] = got["decisions"]
+        signatures = {s: got_all[s]["signature"] for s in solvers}
+        walls = {s: got_all[s]["wall"] for s in solvers}
         base = solvers[0]
         entry = {
             "params": params,
@@ -469,29 +391,17 @@ def run_perf_suite() -> dict:
                                   for s in solvers),
             "signature": signatures[base],
             "wall_s": walls,
-            "rss_peak_kb": rss,
-            "solver_counters": counters,
+            "rss_peak_kb": {s: got_all[s]["rss_peak_kb"] for s in solvers
+                            if got_all[s].get("rss_peak_kb") is not None},
+            "solver_counters": {s: got_all[s]["counters"] for s in solvers},
         }
         if "reference" in walls:
             entry["speedup"] = walls["reference"] / walls["incremental"]
-            entry["speedup_auto"] = walls["reference"] / walls["auto"]
-        else:
-            # No reference run: report auto against the selected solver.
-            entry["speedup_auto"] = walls["incremental"] / walls["auto"]
         if name == "das5x16_fig2":
             entry["speedup_vs_pr6"] = (PR6_DAS5X16_INCREMENTAL_WALL_S
                                        / walls["incremental"])
-            entry["speedup_sharded_j4"] = (walls["incremental"]
-                                           / walls["sharded-j4"])
-        decisions = data["selector_decisions"].get(name, {})
-        if "auto" in decisions:
-            entry["selector"] = decisions["auto"]["summary"]
-        if "sharded" in decisions:
-            entry["selector_sharded"] = decisions["sharded"]["summary"]
         data["scenarios"][name] = entry
     data["wall_seconds"] = time.time() - t0
-    save_cached(KEY, data)
-    _publish(data)
     return data
 
 
@@ -500,46 +410,36 @@ def test_perf_suite(benchmark):
     scenarios = data["scenarios"]
     print()
     print(render_table(
-        ["scenario", "incremental (s)", "reference (s)", "auto (s)",
-         "sharded (s)", "sharded -j4 (s)", "auto speedup", "identical",
-         "solves", "flows touched"],
+        ["scenario", "incremental (s)", "reference (s)", "speedup",
+         "identical", "solves", "flows touched"],
         [[name,
           f"{s['wall_s']['incremental']:.2f}",
           (f"{s['wall_s']['reference']:.2f}"
            if "reference" in s["wall_s"] else "-"),
-          f"{s['wall_s']['auto']:.2f}",
-          (f"{s['wall_s']['sharded']:.2f}"
-           if "sharded" in s["wall_s"] else "-"),
-          (f"{s['wall_s']['sharded-j4']:.2f}"
-           if "sharded-j4" in s["wall_s"] else "-"),
-          f"{s['speedup_auto']:.2f}x",
+          f"{s['speedup']:.2f}x" if "speedup" in s else "-",
           str(s["byte_identical"]),
           s["solver_counters"]["incremental"]["solves"],
           s["solver_counters"]["incremental"]["flows_touched"]]
          for name, s in scenarios.items()],
         title="Solver perf suite "
-              f"({'smoke' if data['smoke'] else 'full'} scale, "
-              f"{data.get('cpu_count', '?')} cpus, sharded -j4 gate "
-              f"{'armed' if data.get('shard_gate_armed') else 'off'})"))
+              f"({'smoke' if data['smoke'] else 'full'} scale)"))
 
-    # Byte-identical simulated physics in every solver mode, everywhere.
+    # Byte-identical simulated physics in both solver modes, everywhere.
     for name, s in scenarios.items():
         assert s["byte_identical"], name
 
     # Speedup gates (full scale only; smoke runs are too small to
-    # amortize anything and are gated on counters instead):
-    # fig2 keeps the original >= 5x incremental target, and the adaptive
-    # mode must beat the reference solver >= 10x there and may not lose
-    # to it anywhere the reference runs.  The storm scenarios carry an
-    # explicit measurement-noise floor: their solver work is single-
-    # digit milliseconds of a wall this host resolves to ~5-8% at best,
-    # so a strict 1.0x there would gate on scheduler jitter, not on the
-    # solvers — the deterministic work gates below are the real
-    # no-regression proof (the seed's fault_storm hole was a 25% wall
-    # regression, which the 0.9 floor still catches).
+    # amortize anything and are gated on counters instead): the
+    # incremental solver must beat the reference solver >= 10x on fig2
+    # and may not lose to it anywhere the reference runs.  The storm
+    # scenarios carry an explicit measurement-noise floor: their solver
+    # work is single-digit milliseconds of a wall this host resolves to
+    # ~5-8% at best, so a strict 1.0x there would gate on scheduler
+    # jitter, not on the solvers — the deterministic work gates below
+    # are the real no-regression proof (the seed's fault_storm hole was
+    # a 25% wall regression, which the 0.9 floor still catches).
     if not data["smoke"]:
-        assert scenarios["fig2_baseline"]["speedup"] >= 5.0
-        assert scenarios["fig2_baseline"]["speedup_auto"] >= 10.0
+        assert scenarios["fig2_baseline"]["speedup"] >= 10.0
         # The vectorized fixpoint (+ batched HRW hashing) must beat the
         # PR 6 trajectory on the x16 scale-up by >= 1.5x.
         assert scenarios["das5x16_fig2"]["speedup_vs_pr6"] >= 1.5, (
@@ -548,44 +448,26 @@ def test_perf_suite(benchmark):
             f"is < 1.5x faster than PR 6's "
             f"{PR6_DAS5X16_INCREMENTAL_WALL_S}s")
         for name in ("fig2_baseline", "hpcc_under_montage"):
-            assert scenarios[name]["speedup_auto"] >= 1.0, (
-                f"{name}: auto {scenarios[name]['speedup_auto']:.2f}x "
+            assert scenarios[name]["speedup"] >= 1.0, (
+                f"{name}: incremental {scenarios[name]['speedup']:.2f}x "
                 "< 1.0x vs reference")
         for name in ("fault_storm", "fault_storm_large"):
-            assert scenarios[name]["speedup_auto"] >= 0.9, (
-                f"{name}: auto {scenarios[name]['speedup_auto']:.2f}x "
+            assert scenarios[name]["speedup"] >= 0.9, (
+                f"{name}: incremental {scenarios[name]['speedup']:.2f}x "
                 "< 0.9x vs reference (beyond measurement noise)")
 
-    # The sharded -j4 dispatch speedup needs cores to stand on; its wall
-    # is recorded everywhere but only >= 4 usable cores can arm the
-    # gate.  The armed flag travels with the data (the sweep-parallel
-    # posture): a >= 4-core runner replaying cached results that never
-    # armed — or that predate the sharded-j4 cell — is a dormant-gate
-    # bug, not a pass.
-    if data.get("shard_gate_armed", False):
-        got = scenarios["das5x16_fig2"]["speedup_sharded_j4"]
-        assert got >= 1.5, (
-            f"das5x16_fig2: sharded -j4 only {got:.2f}x vs incremental "
-            f"on a {data['cpu_count']}-core runner (gate: >= 1.5x)")
-    elif not SMOKE and _usable_cpus() >= 4:
-        raise AssertionError(
-            f"sharded -j4 speedup gate never armed (measured on "
-            f"{data.get('cpu_count', '?')} cpus) but this runner has "
-            f"{_usable_cpus()} — delete benchmarks/results/"
-            f"perf-suite*.json and re-measure")
-
     # Deterministic no-regression gates for the storm shapes, valid at
-    # any scale: the adaptive mode must do no more solver work than the
-    # per-mutation reference it replaces.  Coalescing guarantees fewer
-    # solves and the burst-shape decision keeps whole-graph fills off
-    # the quiet path, so every counter is <= by construction.
+    # any scale: the incremental solver must do no more solver work than
+    # the per-mutation reference.  Coalescing guarantees fewer solves
+    # and component fills touch a subset of the whole graph, so every
+    # counter is <= by construction.
     for name in ("fault_storm", "fault_storm_large"):
         got = scenarios[name]["solver_counters"]
         for counter in ("solves", "full_solves", "rounds",
                         "flows_touched"):
-            assert got["auto"][counter] <= got["reference"][counter], (
-                f"{name}: auto did more solver work than reference "
-                f"({counter}: {got['auto'][counter]} > "
+            assert got["incremental"][counter] <= got["reference"][counter], (
+                f"{name}: incremental did more solver work than reference "
+                f"({counter}: {got['incremental'][counter]} > "
                 f"{got['reference'][counter]})")
 
     # Budget gates: counter ceilings on the incremental solver's work,
@@ -613,20 +495,11 @@ def test_perf_suite(benchmark):
                 assert got[counter] <= ceiling, (
                     f"{name}.{counter}: {got[counter]} > budget {ceiling}")
 
-    # The auto and sharded modes must actually have exercised the
-    # selector; sharded must additionally have consulted the shard
-    # dispatcher (every decision — dispatch or inline — is traced).
-    for name, s in scenarios.items():
-        if "auto" in s["wall_s"]:
-            assert s["selector"]["decisions"] >= 1, name
-        if "sharded" in s["wall_s"]:
-            sel = s["selector_sharded"]
-            assert sel["decisions"] >= 1, name
-            assert sel["sharded"] + sel["inline"] >= 1, (
-                f"{name}: sharded mode never consulted decide_shards")
-
     # The storm scenarios still recover: no data loss, no open faults.
     for name in ("fault_storm", "fault_storm_large"):
         storm = scenarios[name]["signature"]
         assert storm["data_losses"] == 0
         assert storm["fault_counters"]["open_faults"] == 0
+
+    # Every gate passed: only now does the run become the trajectory.
+    _publish(data)

@@ -20,11 +20,9 @@ disables) so a warm re-run is near-instant.  ``plan`` is the what-if
 capacity planner: it binary-searches the smallest own-fraction α whose
 tenant mix stays under a slowdown bound, over the persistent
 ``.repro-store/`` (override with ``REPRO_STORE_DIR``) so a warm store
-answers without simulating.  ``--solver {auto,incremental,reference}`` picks the flow
-fabric's fill strategy (byte-identical outputs in every mode) and
-``--profile`` wraps the command in cProfile, leaving
-``results/profile-<cmd>.pstats``/``.txt`` for perf work.  The
-benchmark suite under ``benchmarks/`` runs the same
+answers without simulating.  ``--profile`` wraps the command in
+cProfile, leaving ``results/profile-<cmd>.pstats``/``.txt`` for perf
+work.  The benchmark suite under ``benchmarks/`` runs the same
 experiments with shape assertions; the CLI is the quick interactive way
 to poke at one scenario.
 """
@@ -34,7 +32,6 @@ from __future__ import annotations
 import argparse
 import cProfile
 import io
-import os
 import pstats
 import sys
 from pathlib import Path
@@ -67,55 +64,26 @@ def _backend_from(args) -> str | None:
     return getattr(args, "backend", None)
 
 
-def _solver_from(args) -> str | None:
-    return getattr(args, "solver", None)
-
-
-def _solver_jobs_from(args) -> int | None:
-    return getattr(args, "solver_jobs", None)
-
-
 def _profiled(handler, args) -> int:
     """Run *handler* under cProfile; write pstats + a top-20 table.
 
     Artifacts land in ``results/`` next to the benchmark result JSONs:
     ``profile-<command>.pstats`` (load with :mod:`pstats`) and
-    ``profile-<command>.txt`` (top 20 by cumulative time).  When the
-    ``sharded`` solver ran, its worker processes profile themselves
-    (see :mod:`repro.sim.shard`) and their stats are merged into the
-    same files — the parent profiler alone would show solver time
-    disappearing into ``Future.result``.
+    ``profile-<command>.txt`` (top 20 by cumulative time).
     """
-    import tempfile
-
-    from .sim import shard
-
     prof = cProfile.Profile()
-    with tempfile.TemporaryDirectory(prefix="repro-shard-prof-") as tmp:
-        os.environ[shard.PROFILE_DIR_ENV] = tmp
-        try:
-            rc = prof.runcall(handler, args)
-        finally:
-            os.environ.pop(shard.PROFILE_DIR_ENV, None)
-            # Workers dump their pstats at interpreter exit; shut the
-            # pools down before reading the directory.
-            shard.shutdown_pools()
-        out = Path("results")
-        out.mkdir(exist_ok=True)
-        base = out / f"profile-{args.command}"
-        stats = pstats.Stats(prof)
-        worker_dumps = sorted(Path(tmp).glob("shard-*.pstats"))
-        for dump in worker_dumps:
-            stats.add(str(dump))
-        stats.dump_stats(str(base.with_suffix(".pstats")))
+    rc = prof.runcall(handler, args)
+    out = Path("results")
+    out.mkdir(exist_ok=True)
+    base = out / f"profile-{args.command}"
+    stats = pstats.Stats(prof)
+    stats.dump_stats(str(base.with_suffix(".pstats")))
     buf = io.StringIO()
     stats.stream = buf
     stats.sort_stats("cumulative").print_stats(20)
     base.with_suffix(".txt").write_text(buf.getvalue())
-    merged = (f" (merged {len(worker_dumps)} shard-worker profiles)"
-              if worker_dumps else "")
     print(f"profile written: {base.with_suffix('.pstats')} and "
-          f"{base.with_suffix('.txt')} (top 20 cumulative){merged}")
+          f"{base.with_suffix('.txt')} (top 20 cumulative)")
     return rc
 
 
@@ -135,9 +103,7 @@ def cmd_table1(_args) -> int:
 
 def cmd_fig2(args) -> int:
     metrics = baseline_sweep(n_tasks=args.tasks, file_size=128 * MB,
-                             config=DeploymentConfig(
-                                 solver=_solver_from(args),
-                                 solver_jobs=_solver_jobs_from(args)),
+                             config=DeploymentConfig(),
                              jobs=args.jobs, cache=_cache_from(args),
                              backend=_backend_from(args))
     rows = [[f"{m.alpha * 100:.0f}%", f"{m.runtime_s:.2f} s",
@@ -151,9 +117,7 @@ def cmd_fig2(args) -> int:
 
 
 def _slowdown(args, suite: str, suite_scale: float, title: str) -> int:
-    config = DeploymentConfig(
-        solver=_solver_from(args),
-        solver_jobs=_solver_jobs_from(args)).with_alpha(args.alpha)
+    config = DeploymentConfig().with_alpha(args.alpha)
     builder, kwargs = WORKLOADS[args.workload]
     sweep = slowdown_sweep(config, suite, suite_scale,
                            workloads=(builder,), workload_kwargs=kwargs,
@@ -235,9 +199,7 @@ def cmd_plan(args) -> int:
     store = ResultStore(max_bytes=args.store_bytes)
     runner = SweepRunner(backend=_backend_from(args) or "serial",
                          jobs=args.jobs, cache=store)
-    config = DeploymentConfig(n_own=args.own, n_victim=args.victims,
-                              solver=_solver_from(args),
-                              solver_jobs=_solver_jobs_from(args))
+    config = DeploymentConfig(n_own=args.own, n_victim=args.victims)
     report = plan_capacity(
         mix, bound_pct=args.bound, workload=builder,
         workload_kwargs=kwargs, alpha_grid=tuple(args.grid),
@@ -365,18 +327,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="reuse cached scenario results from "
                              ".repro-cache/ (default on; --no-cache "
                              "forces re-simulation)")
-    common.add_argument("--solver",
-                        choices=("auto", "incremental", "reference",
-                                 "sharded"),
-                        default=None,
-                        help="flow-solver mode for the fabric (default: "
-                             "the FlowNetwork default, incremental); "
-                             "every mode is byte-identical")
-    common.add_argument("--solver-jobs", type=int, default=None,
-                        metavar="N",
-                        help="worker processes for --solver sharded "
-                             "(default: all cores); byte-identical at "
-                             "every worker count")
     common.add_argument("--profile", action="store_true",
                         help="run under cProfile and write "
                              "results/profile-<cmd>.pstats plus a top-20 "

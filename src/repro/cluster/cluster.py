@@ -39,16 +39,13 @@ class Cluster:
 
 def build_das5(env: Environment | None = None, n_nodes: int = 40,
                spec: MachineSpec = DAS5, seed: int = 0,
-               solver: str | None = None, solver_jobs: int | None = None,
-               scale: int = 1,
-               shard_min_flows: int | None = None) -> Cluster:
+               solver: str | None = None, scale: int = 1) -> Cluster:
     """A DAS-5-like cluster of *n_nodes* identical machines (paper §IV-A).
 
-    *solver* selects the fabric's flow-solver mode, *solver_jobs* the
-    ``"sharded"`` mode's worker count and *shard_min_flows* its dispatch
-    threshold (see :class:`~repro.sim.flownet.FlowNetwork`; None defers
-    to ``REPRO_SHARD_MIN_FLOWS`` or the measured default).  *scale*
-    multiplies *n_nodes* — the ×16 Fig. 2 runs build
+    *solver* selects the fabric's flow-solver mode (``"incremental"`` by
+    default, ``"reference"`` for the baseline comparisons; see
+    :class:`~repro.sim.flownet.FlowNetwork`).  *scale* multiplies
+    *n_nodes* — the ×16 Fig. 2 runs build
     ``build_das5(scale=16)``-sized fabrics (1088 nodes for the 68-node
     paper setup; ×64 is 4352).
     """
@@ -59,7 +56,6 @@ def build_das5(env: Environment | None = None, n_nodes: int = 40,
     n_nodes *= scale
     env = env or Environment()
     nodes = [Node(env, f"node{i:03d}", spec) for i in range(n_nodes)]
-    fabric = Fabric(env, solver=solver, solver_jobs=solver_jobs,
-                    shard_min_flows=shard_min_flows)
+    fabric = Fabric(env, solver=solver)
     fabric.attach_all(nodes)
     return Cluster(env, nodes, fabric, RngRegistry(seed))

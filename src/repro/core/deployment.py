@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 from ..cluster import (Cluster, Container, ResourceCaps, build_das5)
 from ..fs import MemFSS, ScavengingManager
-from ..sim import Environment
+from ..sim import Environment, FlowNetwork
 from ..sim.rng import RngRegistry
 from ..store import AuthPolicy, RetryPolicy, StoreCostModel, StoreServer
 from ..tenants import InterferenceProbe
@@ -29,6 +29,9 @@ __all__ = ["DeploymentConfig", "MemFSSDeployment"]
 #: release, resolved into a PlacementPolicy by DeploymentConfig.placement().
 _LEGACY_PLACEMENT_DEFAULTS = {"alpha": 0.25, "capacity_guard": True,
                               "replication": 1, "erasure": None}
+
+#: Accepted DeploymentConfig.solver values (None = the fabric default).
+_SOLVERS = (None,) + FlowNetwork.SOLVERS
 
 
 @dataclass(frozen=True)
@@ -68,17 +71,10 @@ class DeploymentConfig:
     io_retries: int = 3
     io_hedge: float | None = None
     # Flow-solver mode for the fabric: None → FlowNetwork's default
-    # ("incremental"); "reference" retains the full-recompute path for
-    # perf comparisons; "auto" picks per flush; "sharded" additionally
-    # fans large components out over solver_jobs worker processes
-    # (default: os.cpu_count()).  shard_min_flows is the sharded mode's
-    # dispatch threshold — components below it always fill inline; None
-    # defers to REPRO_SHARD_MIN_FLOWS, then the measured default (96).
-    # Bit-identical trajectories in every mode, at every worker count
-    # and at every threshold.
+    # ("incremental"); "reference" is the full-recompute baseline the
+    # golden and perf comparisons run against.  Bit-identical
+    # trajectories in both modes.
     solver: str | None = None
-    solver_jobs: int | None = None
-    shard_min_flows: int | None = None
     # Cluster scale multiplier: n_own and n_victim are both multiplied
     # by `scale` when the deployment is built (DAS-5 ×16 → 1088 nodes).
     # Kept as a separate knob so figure recipes stay written in paper
@@ -103,6 +99,9 @@ class DeploymentConfig:
             raise ValueError("alpha must be in [0, 1]")
         if self.scale < 1:
             raise ValueError("scale must be >= 1")
+        if self.solver not in _SOLVERS:
+            raise ValueError(f"solver must be one of {_SOLVERS}, "
+                             f"got {self.solver!r}")
         if self.policy is not None:
             self._check_policy_consistency()
 
@@ -182,8 +181,7 @@ class MemFSSDeployment:
         self.rng = RngRegistry(config.seed)
         self.cluster: Cluster = build_das5(
             env, n_nodes=config.n_own + config.n_victim, seed=config.seed,
-            solver=config.solver, solver_jobs=config.solver_jobs,
-            shard_min_flows=config.shard_min_flows)
+            solver=config.solver)
         self.env = self.cluster.env
         res = self.cluster.reservations
 

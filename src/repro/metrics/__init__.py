@@ -13,8 +13,7 @@ from .pressure import (attach_fill_probes, attach_pressure_probes,
                        render_pressure_report)
 from .registry import MetricsRegistry, metrics_registry
 from .report import fmt_pct, render_bars, render_table
-from .solver import (attach_solver_probes, selector_decisions,
-                     selector_summary, solver_counters)
+from .solver import attach_solver_probes, solver_counters
 from .utilization import NodeUtilization, class_utilization, node_utilization
 
 __all__ = [
@@ -22,7 +21,6 @@ __all__ = [
     "NodeUtilization", "node_utilization", "class_utilization",
     "placement_counters", "attach_placement_probes",
     "solver_counters", "attach_solver_probes",
-    "selector_decisions", "selector_summary",
     "fault_counters", "attach_fault_probes", "render_fault_report",
     "exec_counters", "attach_exec_probes",
     "pressure_counters", "attach_pressure_probes", "attach_fill_probes",

@@ -49,19 +49,13 @@ fill are vectorized, with every order-sensitive float reduction
 the same float sequence the per-object loops produced, keeping
 trajectories bit-identical (see the summation invariant in DESIGN.md §11).
 
-A third solver mode ``"auto"`` keeps the coalesced flush schedule and
-picks, per flush, between the per-component fill and one whole-graph
-vectorized fill via :class:`repro.sim.select.SolverSelector` — closing the
-fault-storm shape where component bookkeeping used to cost more than
-simply re-filling everything.  Process-wide :data:`flownet_stats` counters
-expose solves/rounds/flows touched and the auto decisions for the perf
-suite (``benchmarks/bench_perf_suite.py``).
+Process-wide :data:`flownet_stats` counters expose solves, rounds and
+flows/links touched for the perf suite (``benchmarks/bench_perf_suite.py``).
 """
 
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from contextlib import contextmanager
 from typing import Iterable
@@ -69,7 +63,6 @@ from typing import Iterable
 import numpy as np
 
 from .kernel import Environment, Event, SimulationError
-from .select import SolverSelector
 
 __all__ = ["Link", "NetFlow", "FlowNetwork", "progressive_fill",
            "FlowNetStats", "flownet_stats"]
@@ -89,21 +82,13 @@ class FlowNetStats:
     mode, ``rounds`` progressive-filling iterations, ``flows_touched`` /
     ``links_touched`` the component sizes actually re-solved, and
     ``batch_coalesced`` the mutations that shared a solve with an earlier
-    one instead of paying their own.  ``auto_full`` / ``auto_incremental``
-    count the per-flush strategy picks of the ``"auto"`` solver.
-    ``stalemates`` counts the numerical-stalemate exits of
-    :func:`progressive_fill` (also warned once per process — a stalemate
-    means rates are only near-fair).  ``shards_dispatched`` counts
-    components the ``"sharded"`` solver sent to worker processes and
-    ``shard_imbalance`` accumulates, per dispatch, the flow-count spread
-    (max − min) across the dispatched components — a cheap skew signal
-    for the perf suite.
+    one instead of paying their own.  ``stalemates`` counts the
+    numerical-stalemate exits of progressive filling (also warned once
+    per process — a stalemate means rates are only near-fair).
     """
 
     _COUNTERS = ("solves", "full_solves", "rounds", "flows_touched",
-                 "links_touched", "batch_coalesced", "auto_full",
-                 "auto_incremental", "stalemates", "shards_dispatched",
-                 "shard_imbalance")
+                 "links_touched", "batch_coalesced", "stalemates")
     __slots__ = _COUNTERS + ("_stalemate_warned",)
 
     def __init__(self):
@@ -409,82 +394,21 @@ def progressive_fill(flows: list[NetFlow], links: Iterable[Link]) -> None:
             l._used_rate += f._rate
 
 
-def _fill_arrays(caps: np.ndarray, rows: np.ndarray, avail: np.ndarray,
-                 ) -> tuple[np.ndarray, np.ndarray, int, bool]:
-    """Vectorized progressive filling over one localized component.
-
-    Pure array-in/array-out so the ``"sharded"`` solver can ship it to a
-    worker process byte-for-byte unchanged (pickling float64 arrays is
-    exact, so the worker replays the identical float sequence the parent
-    would have — DESIGN.md §13).  *caps* are the flow rate caps in
-    creation order, *rows* the nf × W component-local link ids (pad
-    entries resolve to the sentinel column ``len(avail)``), *avail* the
-    link capacities (consumed in place).  Returns ``(rates, used,
-    rounds, stalemated)`` with ``used`` accumulated per link in flow
-    creation order via bincount — the same float sequence as the scalar
-    per-object loops.
-    """
-    nf = len(caps)
-    nl = len(avail)
-    rates = np.zeros(nf)
-    sat_eps = _EPS * np.maximum(avail, 1.0)
-    unf = np.ones(nf, dtype=bool)
-    rounds = 0
-    stalemated = False
-    guard = nf + nl + 2
-    while unf.any() and guard > 0:
-        guard -= 1
-        rounds += 1
-        counts = np.bincount(rows[unf].ravel(), minlength=nl + 1)[:nl]
-        lm = counts > 0
-        delta = np.inf
-        if lm.any():
-            delta = (avail[lm] / counts[lm]).min()
-        # fmin skips NaN headrooms exactly like the scalar `if d <
-        # delta` comparison does.
-        delta = float(np.fmin.reduce(caps[unf] - rates[unf],
-                                     initial=delta))
-        if delta < 0:
-            delta = 0.0
-        rates[unf] += delta
-        avail[lm] -= delta * counts[lm]
-        saturated = np.zeros(nl + 1, dtype=bool)
-        saturated[:nl] = lm & (avail <= sat_eps)
-        newly = unf & ((rates >= caps - _EPS) | saturated[rows].any(axis=1))
-        if not newly.any():
-            stalemated = True
-            break  # numerical stalemate; rates are already near-fair
-        unf &= ~newly
-    # Per-link used-rate: bincount accumulates weights sequentially in
-    # input order == flow creation order, matching the scalar loop.
-    used = np.bincount(rows.ravel(),
-                       weights=np.repeat(rates, rows.shape[1]),
-                       minlength=nl + 1)[:nl]
-    return rates, used, rounds, stalemated
-
-
 class FlowNetwork:
     """Event-driven fluid network: owns links and active flows.
 
-    *solver* selects the solve strategy: ``"incremental"`` (default)
-    re-fills only the connected components touched since the last solve;
-    ``"reference"`` re-fills every component from scratch, synchronously,
-    on every mutation — the retained pre-optimization path the perf suite
-    times against; ``"auto"`` keeps the incremental flush schedule but
-    picks per flush between the component fill and one whole-graph
-    vectorized fill (see :mod:`repro.sim.select`); ``"sharded"`` extends
-    ``"auto"`` by additionally fanning large independent components out
-    across a persistent worker-process pool (*shard_jobs* workers,
-    default ``os.cpu_count()``; components below the selector's
-    *shard_min_flows* stay in-process).  All modes produce bit-identical
-    trajectories on the tracked scenarios.
+    *solver* selects the solve strategy: ``"incremental"`` (default, the
+    only production mode) re-fills only the connected components touched
+    since the last solve; ``"reference"`` re-fills everything from
+    scratch with :func:`progressive_fill`, synchronously, on every
+    mutation — the fixed baseline the Fig. 2 golden test, the
+    trace-equivalence suite and the perf suite compare against.  Both
+    produce bit-identical trajectories on the tracked scenarios.
     """
 
-    SOLVERS = ("incremental", "reference", "auto", "sharded")
+    SOLVERS = ("incremental", "reference")
 
-    def __init__(self, env: Environment, solver: str | None = None,
-                 shard_jobs: int | None = None,
-                 shard_min_flows: int | None = None):
+    def __init__(self, env: Environment, solver: str | None = None):
         if solver is None:
             solver = "incremental"
         if solver not in self.SOLVERS:
@@ -492,11 +416,6 @@ class FlowNetwork:
                                   f"choose one of {self.SOLVERS}")
         self.env = env
         self.solver = solver
-        self._selector = (SolverSelector(shard_min_flows=shard_min_flows)
-                          if solver in ("auto", "sharded") else None)
-        if solver == "sharded" and shard_jobs is None:
-            shard_jobs = os.cpu_count() or 1
-        self._shard_jobs = shard_jobs
         self._links: dict[str, Link] = {}
         self._link_slot: dict[str, int] = {}
         self._link_objs: list[Link | None] = []
@@ -897,37 +816,6 @@ class FlowNetwork:
         self._l_busy[:nl] += self._l_used[:nl] * dt
         self._last_update = now
 
-    def _localize(self, fs: np.ndarray, ls: np.ndarray,
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Component-local ``(caps, rows, avail)`` for :func:`_fill_arrays`.
-
-        Uses the shared ``_loc`` scratch, so the returned *rows* must be
-        consumed (it is a fresh array) before the next call reuses the
-        scratch — which it is, both inline and when pickled to a shard
-        worker.
-        """
-        nl = len(ls)
-        loc = self._loc
-        loc[ls] = np.arange(nl, dtype=np.int32)
-        loc[len(loc) - 1] = nl  # _PAD rows resolve to the sentinel column
-        rows = loc[self._f_links[fs]]          # nf × W local link ids
-        return self._f_cap[fs], rows, self._l_cap[ls].copy()
-
-    def _merge_fill(self, fs: np.ndarray, ls: np.ndarray,
-                    result: tuple, stats: FlowNetStats) -> None:
-        """Write one component's fill result back into the SoA arrays.
-
-        Components are disjoint in both flow and link slots, so merge
-        order cannot change any value — it is still done in component
-        creation order for a deterministic stats/warning sequence.
-        """
-        rates, used, rounds, stalemated = result
-        stats.rounds += rounds
-        self._f_rate[fs] = rates
-        self._l_used[ls] = used
-        if stalemated:
-            stats.record_stalemate()
-
     def _fill_vec(self, fs: np.ndarray, ls: np.ndarray,
                   stats: FlowNetStats) -> None:
         """Vectorized progressive filling over one closed flow–link set.
@@ -936,9 +824,7 @@ class FlowNetwork:
         min-reductions and elementwise updates touch links, and the
         per-link used-rate writeback accumulates in flow order via
         bincount).  Computes the identical float sequence as the classic
-        per-object algorithm — see DESIGN.md §11 (the array kernel
-        itself lives in :func:`_fill_arrays` so shard workers can run
-        it unchanged).
+        per-object algorithm — see DESIGN.md §11.
         """
         nf = len(fs)
         nl = len(ls)
@@ -947,8 +833,49 @@ class FlowNetwork:
         if nf == 0:
             self._l_used[ls] = 0.0
             return
-        caps, rows, avail = self._localize(fs, ls)
-        self._merge_fill(fs, ls, _fill_arrays(caps, rows, avail), stats)
+        # Component-local link ids: the shared _loc scratch maps global
+        # slots to 0..nl-1, and its trailing cell is the sentinel column
+        # the _PAD entries resolve to.
+        loc = self._loc
+        loc[ls] = np.arange(nl, dtype=np.int32)
+        loc[len(loc) - 1] = nl
+        rows = loc[self._f_links[fs]]          # nf × W local link ids
+        caps = self._f_cap[fs]
+        avail = self._l_cap[ls].copy()
+        rates = np.zeros(nf)
+        sat_eps = _EPS * np.maximum(avail, 1.0)
+        unf = np.ones(nf, dtype=bool)
+        guard = nf + nl + 2
+        while unf.any() and guard > 0:
+            guard -= 1
+            stats.rounds += 1
+            counts = np.bincount(rows[unf].ravel(), minlength=nl + 1)[:nl]
+            lm = counts > 0
+            delta = np.inf
+            if lm.any():
+                delta = (avail[lm] / counts[lm]).min()
+            # fmin skips NaN headrooms exactly like the scalar `if d <
+            # delta` comparison does.
+            delta = float(np.fmin.reduce(caps[unf] - rates[unf],
+                                         initial=delta))
+            if delta < 0:
+                delta = 0.0
+            rates[unf] += delta
+            avail[lm] -= delta * counts[lm]
+            saturated = np.zeros(nl + 1, dtype=bool)
+            saturated[:nl] = lm & (avail <= sat_eps)
+            newly = unf & ((rates >= caps - _EPS)
+                           | saturated[rows].any(axis=1))
+            if not newly.any():
+                stats.record_stalemate()
+                break  # numerical stalemate; rates are already near-fair
+            unf &= ~newly
+        self._f_rate[fs] = rates
+        # Per-link used-rate: bincount accumulates weights sequentially in
+        # input order == flow creation order, matching the scalar loop.
+        self._l_used[ls] = np.bincount(
+            rows.ravel(), weights=np.repeat(rates, rows.shape[1]),
+            minlength=nl + 1)[:nl]
 
     def _solve(self, a: np.ndarray) -> None:
         """Re-fill the dirty components (or everything, per solver mode).
@@ -972,29 +899,6 @@ class FlowNetwork:
             return
         if not self._dirty:
             return
-        if self._selector is not None:
-            decision = self._selector.decide(
-                len(self._dirty), self._nl, len(a), self.env.now)
-            if decision == "full":
-                # One whole-graph coupled fill, skipping the component
-                # walk.  Below the selector's min_links the reference
-                # dict fill wins (vector setup costs more than the whole
-                # computation there); above it, the vectorized fill does.
-                # Both compute the identical float sequence.
-                stats.auto_full += 1
-                stats.full_solves += 1
-                self._dirty.clear()
-                if self._nl <= self._selector.min_links:
-                    stats.flows_touched += len(a)
-                    stats.links_touched += self._nl
-                    progressive_fill([self._objs[s] for s in a],
-                                     [self._materialize(i)
-                                      for i in range(self._nl)])
-                else:
-                    self._fill_vec(a, np.arange(self._nl, dtype=np.int32),
-                                   stats)
-                return
-            stats.auto_incremental += 1
         todo = list(self._dirty)
         self._dirty.clear()
         flows_of = self._flows_of
@@ -1002,7 +906,6 @@ class FlowNetwork:
         f_deg = self._f_deg
         seqs = self._seqs
         seen: set[int] = set()
-        comps: list[tuple[np.ndarray, np.ndarray]] = []
         for seed in todo:
             if seed in seen:
                 continue
@@ -1029,56 +932,8 @@ class FlowNetwork:
             # iteration, and the float sum behind each link's used_rate
             # must be run-to-run and mode-to-mode deterministic.
             comp_flows.sort(key=seqs.__getitem__)
-            comps.append((np.asarray(comp_flows, dtype=np.int32),
-                          np.asarray(comp_links, dtype=np.int32)))
-        if self.solver == "sharded":
-            self._solve_sharded(comps, stats)
-            return
-        for fs, ls in comps:
-            self._fill_vec(fs, ls, stats)
-
-    def _solve_sharded(self, comps: list, stats: FlowNetStats) -> None:
-        """Fan large components out across the worker pool.
-
-        The selector picks which components (if any) are worth a
-        dispatch; everything else fills inline *while* the workers
-        compute, and worker results merge in component creation order.
-        Each worker replays :func:`_fill_arrays` on a pickled copy of
-        the exact arrays the inline path would use, so trajectories are
-        byte-identical to the incremental solver (DESIGN.md §13).
-        """
-        jobs = self._shard_jobs or 1
-        picked = self._selector.decide_shards(
-            [len(fs) for fs, _ in comps], self._nl, self.env.now, jobs)
-        if not picked:
-            for fs, ls in comps:
-                self._fill_vec(fs, ls, stats)
-            return
-        from .shard import get_pool, solve_in_worker
-        pool = get_pool(jobs)
-        futures = []
-        for i in picked:
-            fs, ls = comps[i]
-            stats.flows_touched += len(fs)
-            stats.links_touched += len(ls)
-            caps, rows, avail = self._localize(fs, ls)
-            futures.append(pool.submit(solve_in_worker, caps, rows, avail))
-        stats.shards_dispatched += len(picked)
-        sizes = [len(comps[i][0]) for i in picked]
-        stats.shard_imbalance += max(sizes) - min(sizes)
-        picked_set = set(picked)
-        for i, (fs, ls) in enumerate(comps):
-            if i not in picked_set:
-                self._fill_vec(fs, ls, stats)
-        try:
-            results = [f.result() for f in futures]
-        except BaseException:
-            for f in futures:
-                f.cancel()
-            raise
-        for i, result in zip(picked, results):
-            fs, ls = comps[i]
-            self._merge_fill(fs, ls, result, stats)
+            self._fill_vec(np.asarray(comp_flows, dtype=np.int32),
+                           np.asarray(comp_links, dtype=np.int32), stats)
 
     def _flush(self) -> None:
         """Coalesced settle + solve + completion drain + wakeup."""

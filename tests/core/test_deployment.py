@@ -29,6 +29,11 @@ class TestDeploymentConfig:
             DeploymentConfig(alpha=1.5)
         with pytest.raises(ValueError):
             DeploymentConfig(n_victim=-1)
+        for solver in ("auto", "sharded", "bogus"):
+            with pytest.raises(ValueError, match="incremental"):
+                DeploymentConfig(solver=solver)
+        for solver in (None, "incremental", "reference"):
+            assert DeploymentConfig(solver=solver).solver == solver
 
 
 class TestMemFSSDeployment:

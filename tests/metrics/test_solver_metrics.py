@@ -28,9 +28,7 @@ def test_counters_snapshot_accumulates():
     assert counters["stalemates"] == 0
     assert set(counters) == {"solves", "full_solves", "rounds",
                              "flows_touched", "links_touched",
-                             "batch_coalesced", "auto_full",
-                             "auto_incremental", "stalemates",
-                             "shards_dispatched", "shard_imbalance"}
+                             "batch_coalesced", "stalemates"}
 
 
 def test_monitor_probes_sample_counters():
@@ -41,9 +39,7 @@ def test_monitor_probes_sample_counters():
     assert set(series) == {f"solver.{f}" for f in
                            ("solves", "full_solves", "rounds",
                             "flows_touched", "links_touched",
-                            "batch_coalesced", "auto_full",
-                            "auto_incremental", "stalemates",
-                            "shards_dispatched", "shard_imbalance")}
+                            "batch_coalesced", "stalemates")}
     mon.start()
     _busy_net(env)
     env.run(until=3.0)
