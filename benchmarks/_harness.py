@@ -4,9 +4,16 @@ Each ``bench_*`` file regenerates one table or figure.  Experiments run at
 a *reduced but shape-preserving* scale (documented per bench): background
 workflows keep the paper's per-second traffic intensity but loop smaller
 bags, and tenant benchmarks shrink proportionally (slowdown ratios are
-scale-free).  Results are cached as JSON under ``benchmarks/results`` so
-the Fig. 6 summary can aggregate Figs. 3-5 without re-simulating, and so
-EXPERIMENTS.md can be regenerated from the same artifacts.
+scale-free).
+
+The expensive sweeps (Fig. 2, the Fig. 3-6 slowdown tables, Table II /
+Fig. 7) run through one :class:`~repro.exec.ResultStore` under
+``.repro-store/`` (``REPRO_STORE_DIR`` overrides), salted by the code
+version: a warm re-run simulates nothing, and any edit under
+``src/repro`` re-simulates instead of serving a stale result.  Every
+bench publishes its numbers with :func:`write_result` as JSON under
+``benchmarks/results`` — artifacts for EXPERIMENTS.md and CI uploads,
+never read back.
 """
 
 from __future__ import annotations
@@ -17,8 +24,7 @@ import time
 from pathlib import Path
 
 from repro.core import DeploymentConfig
-from repro.exec import (run_scenario, slowdown_suite_spec, slowdown_sweep)
-from repro.exec.scenarios import PRESET_WORKLOADS
+from repro.exec import ResultStore, slowdown_sweep
 from repro.units import MB
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
@@ -33,31 +39,15 @@ BENCH_JOBS = int(os.environ.get("BENCH_JOBS", "1"))
 HPCC_SCALE = 0.4
 HIBENCH_SCALE = 0.4
 
-#: The paper's three MemFSS workloads, reduced to steady-state loops that
-#: keep the full-scale traffic *intensity* (the bags are FUSE-bandwidth
-#: bound, so fewer tasks per iteration only shortens the loop period).
-#: Canonical presets live in ``repro.exec.scenarios.PRESET_WORKLOADS``;
-#: this name survives for the benches' imports.
-WORKLOAD_FACTORIES = PRESET_WORKLOADS
-
 _SUITE_SCALES = {"hpcc": HPCC_SCALE, "hibench-hadoop": HIBENCH_SCALE,
                  "hibench-spark": HIBENCH_SCALE}
 
 
-def _cache_file(key: str) -> Path:
+def write_result(key: str, data: dict) -> None:
+    """Publish *data* as ``results/<key>.json`` (write-only artifact)."""
     RESULTS_DIR.mkdir(exist_ok=True)
-    return RESULTS_DIR / f"{key}.json"
-
-
-def load_cached(key: str) -> dict | None:
-    path = _cache_file(key)
-    if path.exists():
-        return json.loads(path.read_text())
-    return None
-
-
-def save_cached(key: str, data: dict) -> None:
-    _cache_file(key).write_text(json.dumps(data, indent=2, sort_keys=True))
+    (RESULTS_DIR / f"{key}.json").write_text(
+        json.dumps(data, indent=2, sort_keys=True))
 
 
 def _suite_config(alpha: float) -> DeploymentConfig:
@@ -67,38 +57,23 @@ def _suite_config(alpha: float) -> DeploymentConfig:
     return DeploymentConfig(alpha=alpha, stripe_size=64 * MB)
 
 
-def run_suite_once(suite: str, alpha: float,
-                   workload: str | None,
-                   warmup: float = 30.0) -> dict[str, float]:
-    """Per-benchmark runtimes of *suite* under the given scavenging load.
-
-    ``workload=None`` is the undisturbed baseline.  One scenario spec,
-    executed in-process; results are deterministic for fixed parameters.
-    """
-    spec = slowdown_suite_spec(_suite_config(alpha), suite,
-                               _SUITE_SCALES[suite], workload,
-                               warmup=warmup)
-    return run_scenario(spec)["runtimes_s"]
-
-
 def slowdown_table(suite: str, alpha: float,
                    workloads: tuple[str, ...] = ("Montage", "BLAST", "dd"),
                    ) -> dict:
     """Slowdowns of every benchmark in *suite* under each workload.
 
-    Returns ``{"baseline": {...}, "<workload>": {bench: pct}}``, cached.
-    The baseline and per-workload runs are independent scenarios fanned
-    out through :func:`repro.exec.slowdown_sweep` (``BENCH_JOBS=N`` runs
-    them on N worker processes, byte-identically).
+    Returns ``{"baseline": {...}, "slowdowns": {workload: {bench: pct}}}``
+    and publishes it as ``results/slowdown-<suite>-alpha<n>.json``.  The
+    baseline and per-workload runs are independent scenarios fanned out
+    through :func:`repro.exec.slowdown_sweep` over the shared result
+    store (``BENCH_JOBS=N`` runs them on N worker processes,
+    byte-identically).
     """
-    key = f"slowdown-{suite}-alpha{int(alpha * 100)}"
-    cached = load_cached(key)
-    if cached is not None:
-        return cached
     t0 = time.time()
     sweep = slowdown_sweep(_suite_config(alpha), suite,
                            _SUITE_SCALES[suite], workloads=workloads,
-                           warmup=30.0, jobs=BENCH_JOBS)
+                           warmup=30.0, jobs=BENCH_JOBS,
+                           cache=ResultStore())
     baseline = sweep[None]
     out: dict = {"suite": suite, "alpha": alpha, "baseline": baseline,
                  "slowdowns": {}}
@@ -108,5 +83,5 @@ def slowdown_table(suite: str, alpha: float,
             bench: (loaded[bench] / baseline[bench] - 1.0) * 100.0
             for bench in baseline}
     out["wall_seconds"] = time.time() - t0
-    save_cached(key, out)
+    write_result(f"slowdown-{suite}-alpha{int(alpha * 100)}", out)
     return out

@@ -32,7 +32,7 @@ from repro.fs.striping import stripe_key
 from repro.hashing import own_victim_weights
 from repro.metrics import render_table
 
-from _harness import load_cached, save_cached
+from _harness import write_result
 
 N_STRIPES = 2048        # the Fig. 2 dd-bag size
 INODE = 1
@@ -60,9 +60,6 @@ def _best_of(fn, reps: int = 5) -> tuple[float, object]:
 
 
 def run_measurement() -> dict:
-    cached = load_cached("ablation-placement")
-    if cached is not None:
-        return cached
     clear_placement_caches()
     policy = build_policy()
     keys = [stripe_key(INODE, i) for i in range(N_STRIPES)]
@@ -106,7 +103,7 @@ def run_measurement() -> dict:
         "speedup_vs_scalar": {n: timings["scalar"] / s
                               for n, s in timings.items()},
     }
-    save_cached("ablation-placement", data)
+    write_result("ablation-placement", data)
     return data
 
 

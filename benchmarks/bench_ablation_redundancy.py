@@ -15,7 +15,7 @@ from repro.metrics import render_table
 from repro.units import MB
 from repro.workflows import dd_bag
 
-from _harness import load_cached, save_cached
+from _harness import write_result
 
 VARIANTS = (
     ("r=1", dict(replication=1)),
@@ -25,9 +25,6 @@ VARIANTS = (
 
 
 def run_variants():
-    cached = load_cached("ablation-redundancy")
-    if cached is not None:
-        return cached
     rows = []
     for label, kw in VARIANTS:
         cfg = DeploymentConfig(alpha=0.25, stripe_size=16 * MB, **kw)
@@ -42,7 +39,7 @@ def run_variants():
             "stored_over_payload": stored / payload_bytes,
         })
     data = {"rows": rows}
-    save_cached("ablation-redundancy", data)
+    write_result("ablation-redundancy", data)
     return data
 
 

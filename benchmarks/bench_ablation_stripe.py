@@ -16,15 +16,12 @@ from repro.metrics import render_table
 from repro.units import GB, MB
 from repro.workflows import dd_bag
 
-from _harness import load_cached, save_cached
+from _harness import write_result
 
 STRIPES = (8 * MB, 32 * MB, 128 * MB)
 
 
 def run_sweep():
-    cached = load_cached("ablation-stripe")
-    if cached is not None:
-        return cached
     rows = []
     for stripe in STRIPES:
         cfg = DeploymentConfig(alpha=0.25, stripe_size=int(stripe))
@@ -43,7 +40,7 @@ def run_sweep():
             "victim_requests": requests,
         })
     data = {"rows": rows}
-    save_cached("ablation-stripe", data)
+    write_result("ablation-stripe", data)
     return data
 
 

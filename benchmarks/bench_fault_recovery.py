@@ -8,7 +8,7 @@ revocations" floor of 25%.  The storm run is executed twice with the
 same seed to assert bit-reproducibility of the injected sequence and of
 every counter it produces.
 
-Reported (and cached to ``results/fault-recovery.json``):
+Reported (and written to ``results/fault-recovery.json``):
 
 * clean vs. storm virtual runtime and the inflation percentage,
 * MTTR — revocation to drained evacuation, via ``fault_stats``,
@@ -16,7 +16,7 @@ Reported (and cached to ``results/fault-recovery.json``):
 * redundancy deficits after a repair-daemon sweep (must be zero).
 
 ``FAULT_SMOKE=1`` shrinks the population for the CI smoke lane; smoke
-results are cached under a separate key so they never overwrite the
+results are written under a separate key so they never overwrite the
 committed full-scale artifact.
 """
 
@@ -25,7 +25,7 @@ from __future__ import annotations
 import os
 import time
 
-from _harness import load_cached, save_cached
+from _harness import write_result
 from repro.core import DeploymentConfig, MemFSSDeployment
 from repro.faults import FaultInjector, fault_stats, revocation_storm
 from repro.fs.scavenger import RepairDaemon
@@ -106,9 +106,6 @@ def _run_once(storm_at: float | None) -> dict:
 
 
 def run_fault_recovery() -> dict:
-    cached = load_cached(KEY)
-    if cached is not None:
-        return cached
     t0 = time.time()
     clean = _run_once(None)
     # Fire the storm halfway through the (known-deterministic) write
@@ -132,7 +129,7 @@ def run_fault_recovery() -> dict:
         "reproducible": storm == rerun,
         "wall_seconds": time.time() - t0,
     }
-    save_cached(KEY, data)
+    write_result(KEY, data)
     return data
 
 

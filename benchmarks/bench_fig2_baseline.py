@@ -17,20 +17,19 @@ Shape checks (paper §IV-B):
 import pytest
 
 from repro.core import FIG2_ALPHAS, baseline_sweep
+from repro.exec import ResultStore
 from repro.metrics import render_table
 from repro.units import GB, MB
 
-from _harness import load_cached, save_cached
+from _harness import write_result
 
 N_TASKS = 256
 FILE_SIZE = 128 * MB
 
 
 def run_sweep():
-    cached = load_cached("fig2-baseline")
-    if cached is not None:
-        return cached
-    metrics = baseline_sweep(n_tasks=N_TASKS, file_size=FILE_SIZE)
+    metrics = baseline_sweep(n_tasks=N_TASKS, file_size=FILE_SIZE,
+                             cache=ResultStore())
     data = {
         "alphas": list(FIG2_ALPHAS),
         "rows": [{
@@ -44,7 +43,7 @@ def run_sweep():
             "victim_rx_bytes_s": m.victim_rx_bytes_s,
         } for m in metrics],
     }
-    save_cached("fig2-baseline", data)
+    write_result("fig2-baseline", data)
     return data
 
 

@@ -1,6 +1,6 @@
 """Fig. 6 — average slowdown per suite and α (paper §IV-C).
 
-Aggregates Figs. 3-5 (reusing their cached results when present):
+Aggregates Figs. 3-5 (answered from the result store when warm):
 
 - HPCC and HiBench Hadoop: averages below 10 % at both α = 25 % and 50 %;
 - HiBench Spark (α = 50 %): the outlier, ≈ 18 % in the paper.

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 
-from _harness import save_cached
+from _harness import write_result
 from repro.core import DeploymentConfig
 from repro.core.experiment import baseline_run
 from repro.fs import pressure_stats
@@ -96,7 +96,7 @@ def run_bench() -> dict:
         "signature": guarded_sig,
         "pressured_counters": pressured,
     }
-    save_cached("pressure-spill", data)
+    write_result("pressure-spill", data)
     return data
 
 

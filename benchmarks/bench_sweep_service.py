@@ -7,7 +7,8 @@ publishes the v2 ``BENCH_sweep.json`` trajectory:
   partition colocates the two big cells on one worker — the shape where
   a static slice wastes every fast worker's idle tail.  The sweep runs
   serial (cold store fill), statically sharded, work-stealing, and
-  warm from the store; all four must be byte-identical, and the
+  warm from the store; all four must be byte-identical.  Answering
+  warm must beat the serial cold fill by ≥ 2.5× at any scale; the
   stealing-beats-static makespan gate (≥ 1.2×) arms only on full runs
   with ≥ 4 usable cores — starved runners record the number instead.
 * **Injected crash.**  A stealing run over slowdown-suite cells plus a
@@ -20,10 +21,11 @@ publishes the v2 ``BENCH_sweep.json`` trajectory:
   budget; the next put must evict down to the budget, and GC must find
   nothing left to collect.
 
-Results land in ``results/sweep-service.json`` (or ``-smoke``), with the
-scheduler timeline and store shape split into companion artifacts for
-CI upload; full runs also write ``BENCH_sweep.json`` (version 2) at the
-repo root — the service trajectory later PRs regress against.
+Every run measures afresh — results are never replayed.  They land in
+``results/sweep-service.json`` (or ``-smoke``), with the scheduler
+timeline and store shape split into companion artifacts for CI upload;
+full runs also write ``BENCH_sweep.json`` (version 2) at the repo root —
+the service trajectory later changes regress against.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from _harness import load_cached, save_cached
+from _harness import write_result
 from repro.core.deployment import DeploymentConfig
 from repro.exec import (ResultStore, ScenarioSpec, SweepRunner, exec_stats,
                         fig2_spec, plan_capacity, slowdown_suite_spec)
@@ -45,11 +47,12 @@ from repro.units import MB
 SMOKE = os.environ.get("SWEEP_SMOKE") == "1"
 KEY = "sweep-service-smoke" if SMOKE else "sweep-service"
 ROOT = Path(__file__).resolve().parent.parent
-RESULTS = Path(__file__).resolve().parent / "results"
 
 JOBS = 2 if SMOKE else 4
 #: The stealing-vs-static makespan gate (full runs, ≥ 4 cores only).
 STEAL_GATE = 1.2
+#: Warm store vs. serial cold fill, gated at every scale.
+WARM_GATE = 2.5
 
 # Cell sizes: "small" cells are quick fills, "big" cells the stragglers
 # (~50× a small cell at full scale).  The big cells sit at spec indices
@@ -188,10 +191,6 @@ def run_eviction_phase(store_root: str, specs: list, payload: dict) -> dict:
 
 
 def run_service_bench() -> dict:
-    cached = load_cached(KEY)
-    if cached is not None:
-        _publish(cached)
-        return cached
     specs = straggler_specs()
     with tempfile.TemporaryDirectory(prefix="repro-sweep-store-") as tmp:
         store = ResultStore(root=tmp)
@@ -233,9 +232,7 @@ def run_service_bench() -> dict:
                    "big": {k: v / MB if k == "file_size" else v
                            for k, v in BIG.items()}},
         "cpu_count": cpu_count,
-        # Whether the stealing-beats-static makespan gate applied to
-        # this measurement (stored so cached replays cannot silently
-        # skip it on a runner that could have armed it).
+        # Whether the stealing-beats-static makespan gate applied.
         "gate_armed": (not SMOKE) and cpu_count >= 4,
         "straggler": {
             "wall_s": {"serial": serial_s, "static": static_s,
@@ -256,30 +253,22 @@ def run_service_bench() -> dict:
         "planner": planner,
         "store": eviction,
     }
-    save_cached(KEY, data)
-    _publish(data)
-    return data
-
-
-def _publish(data: dict) -> None:
-    suffix = "-smoke" if data["smoke"] else ""
-    RESULTS.mkdir(exist_ok=True)
+    write_result(KEY, data)
+    suffix = "-smoke" if SMOKE else ""
     # Companion artifacts the CI lane uploads: the scheduler's per-task
     # timeline and the store's shape after eviction.
-    (RESULTS / f"sweep-service-timeline{suffix}.json").write_text(
-        json.dumps({"timeline": data["straggler"]["timeline"],
-                    "wall_s": data["straggler"]["wall_s"],
-                    "skew": data["straggler"]["skew"]},
-                   indent=2, sort_keys=True))
-    (RESULTS / f"sweep-service-store{suffix}.json").write_text(
-        json.dumps({"store": data["store"],
-                    "cold_counters": data["straggler"]["cold_counters"],
-                    "warm_counters": data["straggler"]["warm_counters"]},
-                   indent=2, sort_keys=True))
+    write_result(f"sweep-service-timeline{suffix}",
+                 {"timeline": timeline,
+                  "wall_s": data["straggler"]["wall_s"],
+                  "skew": data["straggler"]["skew"]})
+    write_result(f"sweep-service-store{suffix}",
+                 {"store": eviction, "cold_counters": cold_counters,
+                  "warm_counters": warm_counters})
     # The repo-root trajectory file mirrors the full run only.
-    if not data["smoke"]:
+    if not SMOKE:
         (ROOT / "BENCH_sweep.json").write_text(
             json.dumps(data, indent=2, sort_keys=True))
+    return data
 
 
 def test_sweep_service(benchmark):
@@ -310,6 +299,9 @@ def test_sweep_service(benchmark):
     assert straggler["cold_counters"]["store_stores"] == n
     assert straggler["warm_counters"]["store_hits"] == n
     assert straggler["warm_counters"]["scenarios_run"] == 0
+    assert straggler["warm_store_speedup"] >= WARM_GATE, (
+        f"warm store {straggler['warm_store_speedup']:.1f}x vs serial "
+        f"is below the {WARM_GATE}x gate")
 
     # The injected crash was retried, not dropped, and changed nothing.
     crash = data["crash"]
@@ -332,16 +324,8 @@ def test_sweep_service(benchmark):
         assert planner["agree"]
 
     # Stealing must beat the static partition on makespan, but only
-    # where the comparison is physical (full scale, ≥ 4 cores).  The
-    # armed flag travels with the data: a capable runner replaying
-    # unarmed cached numbers must re-measure, not skip the gate.
+    # where the comparison is physical (full scale, ≥ 4 cores).
     if data["gate_armed"]:
         assert straggler["stealing_vs_static"] >= STEAL_GATE, (
             f"stealing {straggler['stealing_vs_static']:.2f}x vs static "
             f"is below the {STEAL_GATE}x gate")
-    elif not SMOKE and _usable_cpus() >= 4:
-        raise AssertionError(
-            f"stealing-vs-static gate never armed (measured on "
-            f"{data.get('cpu_count', '?')} cpus) but this runner has "
-            f"{_usable_cpus()} — delete benchmarks/results/"
-            f"sweep-service*.json and re-measure")

@@ -19,14 +19,13 @@ Shape checks:
 - node-hours drop by ~17-74 %, monotonically with fewer own nodes.
 """
 
-import pytest
-
-from repro.core import normalized, run_scavenging, run_standalone
+from repro.exec import (ResultStore, consumption_scavenging_spec,
+                        consumption_standalone_spec, run_consumption_points)
 from repro.metrics import render_table
 from repro.units import GB, MB
-from repro.workflows import MONTAGE_PAPER_WIDTH, montage
+from repro.workflows import MONTAGE_PAPER_WIDTH
 
-from _harness import load_cached, save_cached
+from _harness import write_result
 
 SCALE = 8  # width 2048 -> 256; capacities shrink by the same factor
 WIDTH = MONTAGE_PAPER_WIDTH // SCALE
@@ -37,32 +36,25 @@ VICTIM_MEMORY = 28 * GB / SCALE
 STRIPE = 8 * MB
 
 
-def paper_montage():
-    return montage(width=WIDTH, parallel_task_scale=float(SCALE))
+#: Keyword arguments of the paper's Montage instance (scenario specs
+#: name the workflow builder instead of carrying a callable).
+PAPER_MONTAGE = {"width": WIDTH, "parallel_task_scale": float(SCALE)}
 
 
 def run_consumption():
-    cached = load_cached("table2-consumption")
-    if cached is not None:
-        return cached
-    points = []
-    base = run_standalone(paper_montage(), n_nodes=20,
-                          store_capacity=OWN_CAPACITY, stripe_size=STRIPE)
-    points.append(base)
-    too_small = run_standalone(paper_montage(), n_nodes=19,
-                               store_capacity=OWN_CAPACITY,
-                               stripe_size=STRIPE)
-    points.append(too_small)
-    for n_own in (4, 8, 16):
-        points.append(run_scavenging(
-            paper_montage(), n_own=n_own, n_victim=40 - n_own,
-            victim_memory=VICTIM_MEMORY, own_store_capacity=OWN_CAPACITY,
-            stripe_size=STRIPE))
+    specs = [consumption_standalone_spec(
+        "montage", PAPER_MONTAGE, n_nodes=n, store_capacity=OWN_CAPACITY,
+        stripe_size=STRIPE) for n in (20, 19)]
+    specs += [consumption_scavenging_spec(
+        "montage", PAPER_MONTAGE, n_own=n, n_victim=40 - n,
+        victim_memory=VICTIM_MEMORY, own_store_capacity=OWN_CAPACITY,
+        stripe_size=STRIPE) for n in (4, 8, 16)]
+    points = run_consumption_points(specs, cache=ResultStore())
     data = {"points": [{
         "label": p.label, "n_nodes": p.n_nodes, "fits": p.fits,
         "runtime_s": p.runtime_s, "node_hours": p.node_hours,
     } for p in points]}
-    save_cached("table2-consumption", data)
+    write_result("table2-consumption", data)
     return data
 
 

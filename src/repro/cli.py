@@ -8,21 +8,20 @@
     memfss fig5   [--workload dd] [-j N] [--no-cache]
     memfss table2 [--scale 8] [-j N] [--no-cache]
     memfss table1
-    memfss plan   --hpcc 3 --bound 5 [--workload dd] [--out plan.json]
+    memfss plan   --hpcc 3 --bound 5 [--workload dd] [-j N] [--out plan.json]
 
 Each command prints the corresponding table or series as text.  Every
 figure is a sweep of independent simulations, so ``-j/--jobs N`` fans
-them out over N worker processes (byte-identical to the serial run;
-``--backend stealing`` swaps the static pool for the work-stealing
-scheduler) and results are cached content-addressed under
-``.repro-cache/`` (override with ``REPRO_CACHE_DIR``; ``--no-cache``
-disables) so a warm re-run is near-instant.  ``plan`` is the what-if
-capacity planner: it binary-searches the smallest own-fraction α whose
-tenant mix stays under a slowdown bound, over the persistent
-``.repro-store/`` (override with ``REPRO_STORE_DIR``) so a warm store
-answers without simulating.  ``--profile`` wraps the command in
-cProfile, leaving ``results/profile-<cmd>.pstats``/``.txt`` for perf
-work.  The benchmark suite under ``benchmarks/`` runs the same
+them out over N work-stealing worker processes (byte-identical to the
+serial run), and results are kept in the content-addressed result store
+under ``.repro-store/`` (override with ``REPRO_STORE_DIR``;
+``--no-cache`` bypasses it), salted by the code version, so a warm
+re-run is near-instant and a code change re-simulates.  ``plan`` is the
+what-if capacity planner: it binary-searches the smallest own-fraction
+α whose tenant mix stays under a slowdown bound, over the same store,
+so a warm store answers without simulating.  ``--profile`` wraps the
+command in cProfile, leaving ``results/profile-<cmd>.pstats``/``.txt``
+for perf work.  The benchmark suite under ``benchmarks/`` runs the same
 experiments with shape assertions; the CLI is the quick interactive way
 to poke at one scenario.
 """
@@ -39,7 +38,7 @@ from pathlib import Path
 from .core import (DeploymentConfig, baseline_sweep, normalized)
 from .core.slowdown import SlowdownResult
 from .data import TABLE_I
-from .exec import (ResultCache, consumption_specs, run_consumption_points,
+from .exec import (ResultStore, consumption_specs, run_consumption_points,
                    slowdown_sweep)
 from .metrics import render_table
 from .units import GB, MB
@@ -56,12 +55,8 @@ WORKLOADS = {
 }
 
 
-def _cache_from(args) -> ResultCache | None:
-    return ResultCache() if getattr(args, "cache", False) else None
-
-
-def _backend_from(args) -> str | None:
-    return getattr(args, "backend", None)
+def _cache_from(args) -> ResultStore | None:
+    return ResultStore() if getattr(args, "cache", False) else None
 
 
 def _profiled(handler, args) -> int:
@@ -104,8 +99,7 @@ def cmd_table1(_args) -> int:
 def cmd_fig2(args) -> int:
     metrics = baseline_sweep(n_tasks=args.tasks, file_size=128 * MB,
                              config=DeploymentConfig(),
-                             jobs=args.jobs, cache=_cache_from(args),
-                             backend=_backend_from(args))
+                             jobs=args.jobs, cache=_cache_from(args))
     rows = [[f"{m.alpha * 100:.0f}%", f"{m.runtime_s:.2f} s",
              f"{m.own_cpu * 100:.1f}%", f"{m.victim_cpu * 100:.2f}%",
              f"{m.victim_rx_bytes_s / MB:.0f} MB/s"]
@@ -122,8 +116,7 @@ def _slowdown(args, suite: str, suite_scale: float, title: str) -> int:
     sweep = slowdown_sweep(config, suite, suite_scale,
                            workloads=(builder,), workload_kwargs=kwargs,
                            warmup=45.0, jobs=args.jobs,
-                           cache=_cache_from(args),
-                           backend=_backend_from(args))
+                           cache=_cache_from(args))
     baseline, loaded = sweep[None], sweep[builder]
     results = [SlowdownResult(b, baseline[b], loaded[b]) for b in baseline]
     rows = [[r.benchmark, f"{r.baseline_s:.1f} s", f"{r.loaded_s:.1f} s",
@@ -164,8 +157,7 @@ def cmd_table2(args) -> int:
         total_nodes=40, victim_memory=vic_mem,
         own_store_capacity=own_cap)
     points = run_consumption_points(specs, jobs=args.jobs,
-                                    cache=_cache_from(args),
-                                    backend=_backend_from(args))
+                                    cache=_cache_from(args))
     rows = []
     for p in points:
         if not p.fits:
@@ -187,7 +179,7 @@ def cmd_plan(args) -> int:
     """What-if capacity planning over the persistent result store."""
     import json
 
-    from .exec import ResultStore, SweepRunner, plan_capacity
+    from .exec import SweepRunner, plan_capacity
 
     mix = {"hpcc": args.hpcc, "hibench-hadoop": args.hadoop,
            "hibench-spark": args.spark}
@@ -197,8 +189,7 @@ def cmd_plan(args) -> int:
         return 2
     builder, kwargs = WORKLOADS[args.workload]
     store = ResultStore(max_bytes=args.store_bytes)
-    runner = SweepRunner(backend=_backend_from(args) or "serial",
-                         jobs=args.jobs, cache=store)
+    runner = SweepRunner(jobs=args.jobs, cache=store)
     config = DeploymentConfig(n_own=args.own, n_victim=args.victims)
     report = plan_capacity(
         mix, bound_pct=args.bound, workload=builder,
@@ -312,20 +303,13 @@ def main(argv: list[str] | None = None) -> int:
     # Sweep-executor knobs shared by every simulating command.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("-j", "--jobs", type=int, default=1, metavar="N",
-                        help="fan scenarios out over N worker processes "
-                             "(default 1 = serial; byte-identical)")
-    common.add_argument("--backend",
-                        choices=("serial", "process", "stealing"),
-                        default=None,
-                        help="sweep backend (default: process when "
-                             "--jobs > 1, else serial); 'stealing' uses "
-                             "the work-stealing scheduler with "
-                             "heartbeats and crash retries — every "
-                             "backend is byte-identical")
+                        help="fan scenarios out over N work-stealing "
+                             "worker processes (default 1 = serial; "
+                             "byte-identical)")
     common.add_argument("--cache", action=argparse.BooleanOptionalAction,
                         default=True,
-                        help="reuse cached scenario results from "
-                             ".repro-cache/ (default on; --no-cache "
+                        help="reuse stored scenario results from "
+                             ".repro-store/ (default on; --no-cache "
                              "forces re-simulation)")
     common.add_argument("--profile", action="store_true",
                         help="run under cProfile and write "

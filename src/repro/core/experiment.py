@@ -75,7 +75,7 @@ def baseline_run(alpha: float, n_tasks: int = 2048,
     from ..metrics.pressure import attach_fill_probes, attach_pressure_probes
     from ..metrics.registry import metrics_registry
     # Process-wide counters: start each scenario from zero so payloads
-    # stay pure functions of the spec (serial == process backend).
+    # stay pure functions of the spec (serial == stealing backend).
     metrics_registry.reset()
     attach_pressure_probes(mon)
     attach_fill_probes(mon, dep.fs)
@@ -108,17 +108,13 @@ def baseline_sweep(n_tasks: int = 2048, file_size: float = 128 * MB,
                    alphas: tuple[float, ...] = FIG2_ALPHAS,
                    monitor_interval: float = 1.0,
                    keep_series: bool = False,
-                   jobs: int = 1, cache=None,
-                   backend: str | None = None) -> list[BaselineMetrics]:
+                   jobs: int = 1, cache=None) -> list[BaselineMetrics]:
     """All Fig. 2 scenarios, in α order.
 
     The scenarios are independent, so the sweep fans out through
     :class:`repro.exec.SweepRunner`: ``jobs > 1`` runs them on that many
-    worker processes (*backend* picks the fan-out flavor — ``process``
-    by default, ``stealing`` for the work-stealing scheduler — and
-    every backend is byte-identical), and *cache* (a
-    :class:`repro.exec.ResultCache`/:class:`repro.exec.ResultStore`, or
-    ``True`` for the default ``.repro-cache/``) answers unchanged
+    work-stealing worker processes (byte-identical to serial), and
+    *cache* (a :class:`repro.exec.ResultStore`) answers unchanged
     scenarios from disk.  Payloads round-trip through JSON either way,
     so ``series`` (with *keep_series*) holds plain lists here — use
     :func:`baseline_run` directly for the in-memory array view.
@@ -128,7 +124,5 @@ def baseline_sweep(n_tasks: int = 2048, file_size: float = 128 * MB,
                              config=config, alphas=alphas,
                              monitor_interval=monitor_interval,
                              keep_series=keep_series)
-    if backend is None:
-        backend = "process" if jobs > 1 else "serial"
-    runner = SweepRunner(backend=backend, jobs=jobs, cache=cache)
+    runner = SweepRunner(jobs=jobs, cache=cache)
     return [metrics_from_payload(r.payload) for r in runner.run(specs)]

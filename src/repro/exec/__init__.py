@@ -4,24 +4,23 @@ Every paper figure is a sweep of *independent* simulations (Fig. 2 runs
 five α scenarios, Figs. 3-5 run a tenant suite under each scavenging
 workload, Table II sweeps node counts).  This package turns one such
 simulation into a declarative, picklable :class:`ScenarioSpec` and fans
-sweeps out through a :class:`SweepRunner` with ``serial``, ``process``
-and ``stealing`` backends (the latter a
-:class:`WorkStealingScheduler` with heartbeats, deadlines and crash
-retries), backed by a content-addressed on-disk :class:`ResultCache` —
-or the service-grade :class:`ResultStore` with an index, LRU+TTL
-eviction under a byte budget, orphan GC and runtime estimates — so a
-warm re-run never recomputes an unchanged scenario.  On top of the warm
-corpus, :func:`plan_capacity` answers what-if capacity questions (job
-mix + slowdown bound → minimum α) by binary search over cached cells.
+sweeps out through a :class:`SweepRunner` with a ``serial`` and a
+``stealing`` backend (a :class:`WorkStealingScheduler` with heartbeats,
+deadlines and crash retries), backed by the content-addressed
+:class:`ResultStore` — an index, LRU+TTL eviction under a byte budget,
+orphan GC and runtime estimates, salted by :func:`code_version` — so a
+warm re-run never recomputes an unchanged scenario and a code change
+never serves a stale one.  On top of the warm corpus,
+:func:`plan_capacity` answers what-if capacity questions (job mix +
+slowdown bound → minimum α) by binary search over stored cells.
 
 Determinism contract: a scenario's payload is a pure function of its spec
 (all randomness flows from the spec's seed through
-:class:`~repro.sim.rng.RngRegistry`), so the process backend is
-byte-identical to the serial one and cached payloads are byte-identical
+:class:`~repro.sim.rng.RngRegistry`), so the stealing backend is
+byte-identical to the serial one and stored payloads are byte-identical
 to fresh runs.  See DESIGN.md §9.
 """
 
-from .cache import ResultCache, atomic_write_json, code_version
 from .planner import (DEFAULT_ALPHA_GRID, TENANT_CLASSES, cell_slowdown,
                       cell_specs, evaluate_mix, plan_capacity)
 from .runner import ScenarioError, ScenarioResult, SweepRunner
@@ -35,11 +34,11 @@ from .scheduler import SchedulerPolicy, WorkStealingScheduler
 from .soak import build_soak_schedule, run_soak, run_soak_suite, soak_spec
 from .spec import ScenarioSpec
 from .stats import exec_stats
-from .store import ResultStore
+from .store import ResultStore, atomic_write_json, code_version
 
 __all__ = [
     "ScenarioSpec", "ScenarioError", "ScenarioResult", "SweepRunner",
-    "ResultCache", "ResultStore", "code_version", "atomic_write_json",
+    "ResultStore", "code_version", "atomic_write_json",
     "WorkStealingScheduler", "SchedulerPolicy", "exec_stats",
     "plan_capacity", "evaluate_mix", "cell_specs", "cell_slowdown",
     "TENANT_CLASSES", "DEFAULT_ALPHA_GRID",

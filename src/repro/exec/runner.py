@@ -1,34 +1,29 @@
-"""Sweep execution: serial and process backends over scenario specs.
+"""Sweep execution: the serial and work-stealing backends.
 
-The process backend fans scenarios out over a spawn-context
-:class:`~concurrent.futures.ProcessPoolExecutor` (spawn is fork-safe
-everywhere and gives every worker a fresh, deterministic interpreter —
-the determinism contract's boundary).  Results always come back in
-**spec order** regardless of completion order; a failed scenario — an
-executor raise *or* a worker process dying — cancels the rest of the
-sweep and surfaces as a typed :class:`ScenarioError` naming the spec,
-never a hung pool.
+``serial`` executes scenarios in-process in spec order; ``stealing``
+fans them out over spawn workers pulling from a shared priority queue
+(:class:`~repro.exec.scheduler.WorkStealingScheduler`).  Results always
+come back in **spec order** regardless of completion order, and a
+failed scenario surfaces as a typed :class:`ScenarioError` naming the
+spec, never a hung sweep.
 """
 
 from __future__ import annotations
 
 import logging
-import multiprocessing
 import os
 import time
 import traceback
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
-from .cache import ResultCache
 from .scenarios import run_scenario
 from .spec import ScenarioSpec
 from .stats import exec_stats
+from .store import ResultStore
 
 __all__ = ["SweepRunner", "ScenarioResult", "ScenarioError"]
 
-BACKENDS = ("serial", "process", "stealing")
+BACKENDS = ("serial", "stealing")
 
 _log = logging.getLogger(__name__)
 
@@ -61,10 +56,10 @@ class _WorkerFailure(Exception):
     """Picklable carrier for an executor raise inside a worker.
 
     Exceptions whose ``args`` don't match their ``__init__`` signature
-    (or that hold unpicklable state) break the pool's result channel on
-    the way back and masquerade as :class:`BrokenProcessPool`, losing
-    the real cause.  The worker therefore never lets the original
-    exception cross the boundary: it sends its rendered form instead.
+    (or that hold unpicklable state) cannot be rebuilt on the parent's
+    side of a worker pipe, losing the real cause.  The worker therefore
+    never lets the original exception cross the boundary: it sends its
+    rendered form instead.
     """
 
     def __init__(self, description: str):
@@ -72,7 +67,7 @@ class _WorkerFailure(Exception):
 
 
 def _execute_timed(spec: ScenarioSpec) -> tuple[dict, float]:
-    """Top-level so the spawn backend can pickle it by reference."""
+    """Top-level so spawn workers can pickle it by reference."""
     t0 = time.perf_counter()
     try:
         payload = run_scenario(spec)
@@ -90,31 +85,30 @@ class SweepRunner:
     """Runs independent scenarios, optionally in parallel and cached.
 
     ``backend="serial"`` executes in-process in spec order;
-    ``backend="process"`` fans out over *jobs* spawned workers through a
-    static future-per-scenario pool; ``backend="stealing"`` fans out
-    over *jobs* long-lived spawn workers pulling from a shared priority
-    queue (:class:`~repro.exec.scheduler.WorkStealingScheduler`) with
-    heartbeats and crash retries — the straggler-proof backend.  With a
-    :class:`ResultCache` (or ``cache=True`` for the default location),
-    cached scenarios are answered without executing anything, and fresh
-    payloads are stored on the way out — all backends produce
-    byte-identical payloads, so cache entries are backend-agnostic.
-    A :class:`~repro.exec.store.ResultStore` is accepted wherever a
-    cache is; its runtime estimates then drive the stealing backend's
-    longest-expected-first queue order.
+    ``backend="stealing"`` fans out over *jobs* long-lived spawn workers
+    pulling from a shared priority queue
+    (:class:`~repro.exec.scheduler.WorkStealingScheduler`) with
+    heartbeats and crash retries.  Unnamed, the backend follows from
+    *jobs*: ``stealing`` above one job, ``serial`` otherwise.  With a
+    :class:`ResultStore` as *cache*, stored scenarios are answered
+    without executing anything, fresh payloads are stored on the way
+    out, and the store's runtime estimates drive the stealing queue's
+    longest-expected-first order.  Both backends produce byte-identical
+    payloads, so store entries are backend-agnostic.
 
-    With *auto_fallback* (the default), a process or stealing sweep on
-    a single-CPU host silently degrades to the serial backend: spawning
-    workers there can only add interpreter-startup overhead (the
-    BENCH_sweep 0.91x hole), and payloads are byte-identical either
-    way.  Requesting more jobs than CPUs is likewise clamped to the CPU
-    count.  Crash-semantics tests that *need* real worker processes
-    pass ``auto_fallback=False``.
+    With *auto_fallback* (the default), a stealing sweep on a
+    single-CPU host silently degrades to the serial backend: spawning
+    workers there can only add interpreter-startup overhead, and
+    payloads are byte-identical either way.  Requesting more jobs than
+    CPUs is likewise clamped to the CPU count.  Crash-semantics tests
+    that *need* real worker processes pass ``auto_fallback=False``.
     """
 
-    def __init__(self, backend: str = "serial", jobs: int | None = None,
-                 cache: ResultCache | bool | None = None,
+    def __init__(self, backend: str | None = None, jobs: int | None = None,
+                 cache: ResultStore | None = None,
                  auto_fallback: bool = True, policy=None):
+        if backend is None:
+            backend = "stealing" if (jobs or 1) > 1 else "serial"
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}; "
                              f"choose from {BACKENDS}")
@@ -122,24 +116,17 @@ class SweepRunner:
             raise ValueError("jobs must be >= 1")
         self.backend = backend
         self.jobs = jobs
-        if cache is True:
-            self.cache = ResultCache()
-        elif cache is False or cache is None:
-            self.cache = None
-        else:
-            # Identity, not truthiness: an *empty* ResultStore is falsy
-            # (it has __len__) but is still the caller's cache.
-            self.cache = cache
+        self.cache = cache
         self.auto_fallback = auto_fallback
         #: Optional :class:`~repro.exec.scheduler.SchedulerPolicy` for
         #: the stealing backend (heartbeat/deadline/retry posture).
         self.policy = policy
         #: The last stealing run's per-task completion timeline
-        #: (benchmark artifact); empty for other backends.
+        #: (benchmark artifact); empty for the serial backend.
         self.last_timeline: list[dict] = []
 
     def _effective_backend(self) -> str:
-        if (self.backend in ("process", "stealing") and self.auto_fallback
+        if (self.backend == "stealing" and self.auto_fallback
                 and (os.cpu_count() or 1) <= 1):
             exec_stats.serial_fallbacks += 1
             _log.info(
@@ -153,9 +140,7 @@ class SweepRunner:
         """Execute *specs*; results come back in spec order."""
         specs = list(specs)
         backend = self._effective_backend()
-        if backend == "process":
-            exec_stats.sweeps_process += 1
-        elif backend == "stealing":
+        if backend == "stealing":
             exec_stats.sweeps_stealing += 1
         else:
             exec_stats.sweeps_serial += 1
@@ -169,9 +154,7 @@ class SweepRunner:
             else:
                 pending.append(i)
         if pending:
-            if backend == "process" and len(pending) > 1:
-                self._run_process(specs, pending, results)
-            elif backend == "stealing" and len(pending) > 1:
+            if backend == "stealing" and len(pending) > 1:
                 self._run_stealing(specs, pending, results)
             else:
                 self._run_serial(specs, pending, results)
@@ -199,42 +182,15 @@ class SweepRunner:
         cpus = os.cpu_count() or 1
         jobs = min(self.jobs or cpus, len(pending))
         if self.auto_fallback and jobs > cpus:
+            # Oversubscribed: clamp instead of thrashing the host.
             jobs = cpus
         scheduler = WorkStealingScheduler(
             jobs=jobs, policy=self.policy,
-            estimator=getattr(self.cache, "estimate", None))
+            estimator=self.cache.estimate if self.cache is not None
+            else None)
         done = scheduler.run(specs, pending)
         self.last_timeline = scheduler.last_timeline
         for i in pending:
             payload, wall = done[i]
             exec_stats.scenarios_run += 1
             results[i] = ScenarioResult(specs[i], payload, wall_s=wall)
-
-    def _run_process(self, specs, pending, results) -> None:
-        cpus = os.cpu_count() or 1
-        jobs = min(self.jobs or cpus, len(pending))
-        if self.auto_fallback and jobs > cpus:
-            # Oversubscribed pool: clamp instead of thrashing the host.
-            jobs = cpus
-        ctx = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as pool:
-            futures = {pool.submit(_execute_timed, specs[i]): i
-                       for i in pending}
-            done, not_done = wait(futures, return_when=FIRST_EXCEPTION)
-            failed = next((f for f in done if f.exception() is not None),
-                          None)
-            if failed is not None:
-                for f in not_done:
-                    f.cancel()
-                pool.shutdown(wait=False, cancel_futures=True)
-                exc = failed.exception()
-                exec_stats.worker_crashes += 1
-                spec = specs[futures[failed]]
-                if isinstance(exc, BrokenProcessPool):
-                    raise ScenarioError(
-                        spec, "worker process died (pool broken)") from exc
-                raise ScenarioError(spec, _failure_message(exc)) from exc
-            for future, i in futures.items():
-                payload, wall = future.result()
-                exec_stats.scenarios_run += 1
-                results[i] = ScenarioResult(specs[i], payload, wall_s=wall)

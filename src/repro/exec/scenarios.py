@@ -2,7 +2,7 @@
 
 Every executor is a pure function of its :class:`ScenarioSpec` returning
 a JSON-safe payload dict, so it can run in a spawned worker process and
-its result can round-trip through the on-disk cache byte-identically.
+its result can round-trip through the result store byte-identically.
 Workloads and tenant suites are referenced *by name* through the
 registries below (callables don't pickle across the spawn boundary).
 
@@ -187,16 +187,15 @@ def slowdown_sweep(config: DeploymentConfig, suite: str,
                    workloads: tuple[str, ...] = ("Montage", "BLAST", "dd"),
                    workload_kwargs: dict | None = None,
                    warmup: float = 30.0, jobs: int = 1,
-                   cache=None, backend: str | None = None,
-                   ) -> dict[str | None, dict[str, float]]:
+                   cache=None) -> dict[str | None, dict[str, float]]:
     """Baseline + one loaded run per workload, fanned out together.
 
     Returns ``{None: baseline_times, workload: loaded_times, ...}``; use
     :class:`~repro.core.slowdown.SlowdownResult` to turn pairs into
     slowdown percentages.  This is the Fig. 3-5 unit the CLI and the
-    bench harness share.  *backend* defaults to ``process`` when
-    ``jobs > 1`` (``stealing`` opts into the work-stealing scheduler);
-    every backend is byte-identical.
+    bench harness share.  ``jobs > 1`` fans the runs out over the
+    work-stealing backend, byte-identically; *cache* is an optional
+    :class:`~repro.exec.store.ResultStore`.
     """
     from .runner import SweepRunner
     specs = [slowdown_suite_spec(config, suite, suite_scale, None,
@@ -205,10 +204,7 @@ def slowdown_sweep(config: DeploymentConfig, suite: str,
                                   workload_kwargs=workload_kwargs,
                                   warmup=warmup)
               for wl in workloads]
-    if backend is None:
-        backend = "process" if jobs > 1 else "serial"
-    runner = SweepRunner(backend=backend, jobs=jobs, cache=cache)
-    results = runner.run(specs)
+    results = SweepRunner(jobs=jobs, cache=cache).run(specs)
     out: dict[str | None, dict[str, float]] = {
         None: results[0].payload["runtimes_s"]}
     for wl, res in zip(workloads, results[1:]):
@@ -306,12 +302,9 @@ def consumption_specs(workflow: str, workflow_kwargs: dict,
 
 
 def run_consumption_points(specs: list[ScenarioSpec], jobs: int = 1,
-                           cache=None, backend: str | None = None,
-                           ) -> list[ConsumptionPoint]:
+                           cache=None) -> list[ConsumptionPoint]:
     from .runner import SweepRunner
-    if backend is None:
-        backend = "process" if jobs > 1 else "serial"
-    runner = SweepRunner(backend=backend, jobs=jobs, cache=cache)
+    runner = SweepRunner(jobs=jobs, cache=cache)
     return [point_from_payload(r.payload) for r in runner.run(specs)]
 
 
@@ -337,8 +330,8 @@ def _run_market(spec: ScenarioSpec) -> dict:
 class _PickleHostileError(Exception):
     """Init signature that naive exception pickling cannot rebuild.
 
-    Mirrors errors like a pre-fix ``StoreError``: sent raw across the
-    pool's result channel it would break the pool and mask the cause.
+    Mirrors errors like a pre-fix ``StoreError``: sent raw across a
+    worker's result pipe it could not be rebuilt, masking the cause.
     """
 
     def __init__(self, code: int, detail: str):

@@ -1,11 +1,9 @@
 """Work-stealing sweep scheduler: shared queue, heartbeats, retries.
 
-The process backend of :class:`~repro.exec.runner.SweepRunner` carves a
-sweep into one future per scenario and lets a ``ProcessPoolExecutor``
-hand them out — which is already pull-based, but gives the parent no
-liveness signal and turns any worker death into a broken pool that
-aborts the whole sweep.  This scheduler replaces the pool with an
-explicit shared work queue and long-lived spawn workers:
+The parallel backend of :class:`~repro.exec.runner.SweepRunner`: an
+explicit shared work queue and long-lived spawn workers, so the parent
+has a liveness signal for every worker and a worker death costs one
+retried task, not the whole sweep:
 
 * **Work stealing.**  Every worker pulls the next undone spec from one
   shared queue the moment it goes idle, so a straggler cell (a long-α
@@ -25,7 +23,7 @@ explicit shared work queue and long-lived spawn workers:
   (up to *max_retries*) and re-executed — deterministic payloads make
   the retry byte-identical — while a spec that *raises* surfaces
   immediately as the same typed :class:`~repro.exec.runner
-  .ScenarioError` the other backends raise.  The upward channel is a
+  .ScenarioError` the serial backend raises.  The upward channel is a
   raw ``Pipe``, not a ``multiprocessing.Queue``, deliberately: queue
   puts go through a feeder thread that a hard worker death
   (``os._exit``, OOM kill) never flushes, which would lose the

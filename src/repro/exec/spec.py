@@ -4,10 +4,10 @@ A :class:`ScenarioSpec` names one independent simulation: an experiment
 *kind* (registered in :mod:`repro.exec.scenarios`), the
 :class:`~repro.core.deployment.DeploymentConfig` it deploys, free-form
 workload parameters, and an optional seed override.  Specs are frozen,
-hashable, and picklable (they cross the spawn boundary of the process
+hashable, and picklable (they cross the spawn boundary of the stealing
 backend), and hash to a *content fingerprint* — the canonical-JSON SHA-256
 of every field — which, salted with the running code version, addresses
-the on-disk result cache.
+the on-disk result store.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ class ScenarioSpec:
 
     def spec_key(self) -> str:
         """Content hash of the spec alone (no code-version salt) — the
-        cache's stable address for *this scenario* across code versions."""
+        store's stable address for *this scenario* across code versions."""
         blob = json.dumps(self.as_dict(), sort_keys=True,
                           separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()

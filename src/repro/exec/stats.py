@@ -1,6 +1,6 @@
 """Process-wide executor counters (the ``flownet_stats`` pattern).
 
-Counted in the *parent* process only: cache lookups happen before fan-out
+Counted in the *parent* process only: store lookups happen before fan-out
 and payloads are stored when they come back, so the counters are coherent
 regardless of backend.  ``repro.metrics.exec`` exposes them as snapshots
 and Monitor probes.
@@ -14,23 +14,21 @@ __all__ = ["ExecStats", "exec_stats"]
 class ExecStats:
     """Cumulative sweep-executor counters; reset per experiment run.
 
-    ``scenarios_run`` counts simulations actually executed (any backend),
-    ``cache_hits`` the scenarios answered from the on-disk result cache,
-    ``cache_misses`` lookups that found nothing usable, and
-    ``cache_invalidations`` stale entries discarded because the spec's
-    code-version salt no longer matched.  ``cache_stores`` counts fresh
-    payloads written back.  ``worker_crashes`` counts scenario executions
-    surfaced as :class:`~repro.exec.runner.ScenarioError` (failed worker
-    process or raising executor).  ``sweeps_serial`` / ``sweeps_process``
-    / ``sweeps_stealing`` count :meth:`SweepRunner.run` calls per
-    backend.  ``serial_fallbacks`` counts process/stealing sweeps the
-    runner downgraded to serial because the host has a single CPU (such
-    runs are also counted in ``sweeps_serial`` — they executed serially).
+    ``scenarios_run`` counts simulations actually executed (any backend).
+    ``worker_crashes`` counts scenario executions surfaced as
+    :class:`~repro.exec.runner.ScenarioError` (failed worker process or
+    raising executor).  ``sweeps_serial`` / ``sweeps_stealing`` count
+    :meth:`SweepRunner.run` calls per backend.  ``serial_fallbacks``
+    counts stealing sweeps the runner downgraded to serial because the
+    host has a single CPU (such runs are also counted in
+    ``sweeps_serial`` — they executed serially).
 
-    The ``store_*`` family mirrors the cache counters for the persistent
-    :class:`~repro.exec.store.ResultStore`: ``store_hits`` /
-    ``store_misses`` / ``store_invalidations`` / ``store_stores`` count
-    lookups and writes, ``store_evictions`` LRU evictions under the byte
+    The ``store_*`` family counts the persistent
+    :class:`~repro.exec.store.ResultStore`: ``store_hits`` the scenarios
+    answered from it, ``store_misses`` lookups that found nothing
+    usable, ``store_invalidations`` stale entries discarded because the
+    code-version salt no longer matched, ``store_stores`` fresh payloads
+    written back, ``store_evictions`` LRU evictions under the byte
     budget, ``store_expirations`` TTL expiries, ``store_gc_orphans``
     orphaned blobs removed by GC, and ``store_bytes`` is a *gauge* — the
     indexed on-disk bytes after the last store operation.
@@ -43,10 +41,8 @@ class ExecStats:
     messages received from workers.
     """
 
-    _COUNTERS = ("scenarios_run", "cache_hits", "cache_misses",
-                 "cache_invalidations", "cache_stores", "worker_crashes",
-                 "sweeps_serial", "sweeps_process", "sweeps_stealing",
-                 "serial_fallbacks",
+    _COUNTERS = ("scenarios_run", "worker_crashes",
+                 "sweeps_serial", "sweeps_stealing", "serial_fallbacks",
                  "store_hits", "store_misses", "store_invalidations",
                  "store_stores", "store_evictions", "store_expirations",
                  "store_gc_orphans", "store_bytes",

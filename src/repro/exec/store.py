@@ -1,16 +1,15 @@
 """Persistent content-addressed result store with eviction, GC, and
-runtime estimates.
-
-The flat :class:`~repro.exec.cache.ResultCache` proved the fingerprinting
-works (warm re-runs answer from disk); this store turns that cache into
-the substrate of a long-running sweep *service*:
+runtime estimates — the one cache every sweep, figure bench and the
+capacity planner share:
 
 * **Content addressing with an index.**  Payload blobs live under
   ``blobs/<fingerprint>.json`` and an ``index.json`` maps each spec's
   stable ``spec_key`` to its current fingerprint, byte size, store time
-  and last access.  Lookups are one dict probe, not a directory glob,
-  and a spec whose indexed fingerprint no longer matches the running
-  code version is invalidated in place.
+  and last access.  The fingerprint hashes the spec together with a
+  *code-version salt* (:func:`code_version`, a digest of every ``repro``
+  source file), so a lookup whose indexed fingerprint no longer matches
+  the running code is invalidated in place — a model edit can never be
+  answered from a stale result.
 * **LRU + TTL eviction under a byte budget.**  ``max_bytes`` caps the
   indexed payload bytes; every put first expires entries older than
   ``ttl_s`` and then evicts least-recently-used entries until the store
@@ -21,9 +20,9 @@ the substrate of a long-running sweep *service*:
   drops index entries whose blob vanished) without ever touching an
   indexed, live blob.
 * **Crash-safe atomic writes.**  Blobs and the index both go through
-  :func:`~repro.exec.cache.atomic_write_json` (unique temp name +
-  ``os.replace``); the blob is published before the index references
-  it, so readers never see a dangling index entry after a crash.
+  :func:`atomic_write_json` (unique temp name + ``os.replace``); the
+  blob is published before the index references it, so readers never
+  see a dangling index entry after a crash.
 * **Advisory cross-process locking.**  Every index *mutation* (get's
   access-time touch, put, gc, clear) runs under an exclusive
   ``flock`` on ``index.lock`` and re-reads the on-disk index at lock
@@ -43,16 +42,17 @@ code-version changes *and* payload eviction).  The work-stealing
 scheduler orders its queue longest-expected-first from these, which is
 what keeps stragglers off the critical path of a warm sweep.
 
-A :class:`ResultStore` is a drop-in for :class:`ResultCache` wherever a
-``get(spec) / put(spec, payload)`` pair is expected (e.g.
-``SweepRunner(cache=ResultStore(...))``).
+Pass a store as ``SweepRunner(cache=ResultStore(...))``; the default
+location is ``.repro-store/`` (override with ``REPRO_STORE_DIR``).
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
 import os
+import tempfile
 import time
 from pathlib import Path
 
@@ -61,11 +61,11 @@ try:  # POSIX only; the store degrades to lock-free elsewhere.
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
 
-from .cache import atomic_write_json, code_version
 from .spec import ScenarioSpec
 from .stats import exec_stats
 
-__all__ = ["ResultStore", "DEFAULT_STORE_DIR", "STORE_DIR_ENV"]
+__all__ = ["ResultStore", "DEFAULT_STORE_DIR", "STORE_DIR_ENV",
+           "code_version", "atomic_write_json"]
 
 DEFAULT_STORE_DIR = ".repro-store"
 #: Environment override for the default store location.
@@ -74,6 +74,56 @@ STORE_DIR_ENV = "REPRO_STORE_DIR"
 _INDEX_VERSION = 1
 #: Runtime estimates kept per store (newest win); a bound, not a budget.
 _MAX_ESTIMATES = 4096
+
+_code_version: str | None = None
+
+
+def code_version() -> str:
+    """Digest of the ``repro`` package sources (the store's salt).
+
+    Deliberately coarse: any edit under ``src/repro`` changes it, which
+    is the only cheap sound answer to "could this change move a payload
+    bit?".  Computed once per process.
+    """
+    global _code_version
+    if _code_version is None:
+        root = Path(__file__).resolve().parent.parent
+        digest = hashlib.sha256()
+        for path in sorted(root.rglob("*.py")):
+            digest.update(path.relative_to(root).as_posix().encode())
+            digest.update(b"\0")
+            digest.update(path.read_bytes())
+        _code_version = digest.hexdigest()[:20]
+    return _code_version
+
+
+def atomic_write_json(path: Path, obj) -> None:
+    """Write *obj* as canonical JSON to *path*, crash- and race-safe.
+
+    The payload lands in a uniquely named temp file in the target
+    directory first and is published with :func:`os.replace` (atomic on
+    POSIX).  A crash mid-write leaves only an orphaned ``*.tmp`` file —
+    never a truncated blob under the real name — and because every
+    writer gets its own temp name, two processes writing the same entry
+    concurrently cannot tear each other's bytes (a shared
+    ``<name>.tmp`` would let writer B truncate the temp file writer A
+    was about to rename).  Last rename wins, which is safe here: blobs
+    for one address are byte-identical by contract.
+    """
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(obj, fh, sort_keys=True)
+        os.replace(tmp, path)
+    except BaseException:
+        # Crash/interrupt mid-write: drop the private temp file; the
+        # published entry (if any) is untouched.
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 class ResultStore:
@@ -312,8 +362,7 @@ class ResultStore:
                     path.unlink(missing_ok=True)
                     orphans += 1
                     exec_stats.store_gc_orphans += 1
-            for path in self.blob_dir.glob("*.tmp"):
-                path.unlink(missing_ok=True)
+        self._sweep_temp_files()
         dangling = [k for k, e in index["entries"].items()
                     if not self.blob_path(e["fingerprint"]).exists()]
         for key in dangling:
@@ -362,7 +411,8 @@ class ResultStore:
                 "root": str(self.root)}
 
     def clear(self) -> int:
-        """Drop every entry and estimate; returns entries removed."""
+        """Drop every entry and estimate, and sweep orphaned ``*.tmp``
+        files (torn writes are not entries); returns entries removed."""
         with self._locked():
             return self._clear_locked()
 
@@ -373,4 +423,12 @@ class ResultStore:
             self._drop(key, index["entries"][key])
         index["estimates"].clear()
         self._save_index()
+        self._sweep_temp_files()
         return removed
+
+    def _sweep_temp_files(self) -> None:
+        """Unlink torn-write leftovers; only safe under the lock, which
+        every blob and index write holds."""
+        for pattern in ("*.tmp", "blobs/*.tmp"):
+            for path in self.root.glob(pattern):
+                path.unlink(missing_ok=True)

@@ -1,14 +1,14 @@
 """Sweep-executor observability.
 
 The scenario executor (:mod:`repro.exec`) keeps process-wide counters —
-scenarios actually simulated, cache hits/misses/invalidations/stores,
-worker crashes, sweeps per backend, the result store's
-hit/miss/eviction/expiry/GC traffic and live byte gauge (``store_*``)
-and the work-stealing scheduler's spawn/restart/requeue/heartbeat
-traffic (``sched_*``).  This module exposes them as plain snapshots and
-as :class:`~repro.sim.monitor.Monitor` probes, mirroring the
+scenarios actually simulated, worker crashes, sweeps per backend, the
+result store's hit/miss/invalidation/store/eviction/expiry/GC traffic
+and live byte gauge (``store_*``) and the work-stealing scheduler's
+spawn/restart/requeue/heartbeat traffic (``sched_*``).  This module
+exposes them as plain snapshots and as
+:class:`~repro.sim.monitor.Monitor` probes, mirroring the
 placement-planner and flow-solver counters, so figure runs and CI lanes
-can assert on cache behavior (e.g. "a warm re-run executes zero
+can assert on store behavior (e.g. "a warm re-run executes zero
 simulations", "eviction kept the store under budget").  New counters
 only need adding to ``ExecStats._COUNTERS``; the probes here derive
 from it.

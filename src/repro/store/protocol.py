@@ -4,9 +4,7 @@ protocol.
 Failures travel as a typed :class:`StoreErrorCode` on the
 :class:`Response` (and on the :class:`StoreError` raised client-side), so
 policy decisions — retry? walk the replica chain? give up? — are driven by
-the taxonomy instead of string parsing.  The legacy prefix-encoded
-``Response.error`` string (``"full: ..."``) survives as a deprecation shim
-for callers that still split on ``":"``.
+the taxonomy instead of string parsing.
 """
 
 from __future__ import annotations
@@ -122,40 +120,21 @@ class Response:
     """Outcome of one request.
 
     Failures carry a :class:`StoreErrorCode` in :attr:`code` plus a plain
-    :attr:`message`.  The legacy ``error`` surface — a prefix-encoded
-    string like ``"full: out of memory"`` that callers used to
-    ``split(":", 1)`` — is kept as a read/write deprecation shim.
+    :attr:`message`.
     """
 
     __slots__ = ("ok", "value", "code", "message", "details")
 
     def __init__(self, ok: bool, value: Any = None,
                  code: StoreErrorCode | str | None = None,
-                 message: str = "", error: str = "",
-                 details: dict | None = None):
+                 message: str = "", details: dict | None = None):
         self.ok = ok
         self.value = value
         self.details = dict(details) if details else {}
         if code is not None and not isinstance(code, StoreErrorCode):
             code = StoreErrorCode(code)
-        if code is None and error:
-            # Legacy construction: parse the old "code: message" shape.
-            prefix, _, rest = error.partition(":")
-            try:
-                code = StoreErrorCode(prefix.strip())
-                message = message or rest.strip()
-            except ValueError:
-                code = StoreErrorCode.BAD_REQUEST
-                message = message or error
         self.code = code
         self.message = message
-
-    @property
-    def error(self) -> str:
-        """Deprecated prefix-encoded error string (old wire shape)."""
-        if self.code is None:
-            return self.message
-        return f"{self.code.value}: {self.message}"
 
     def raise_for_status(self) -> None:
         """Raise the matching :class:`StoreError` if the request failed."""

@@ -7,9 +7,10 @@ from repro.exec import exec_stats
 
 
 @pytest.fixture(autouse=True)
-def _hermetic_cache(tmp_path, monkeypatch):
-    """CLI caching defaults to on; keep test entries out of the repo."""
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "repro-cache"))
+def _hermetic_store(tmp_path, monkeypatch):
+    """The CLI's result store defaults to on; keep entries out of the
+    repo."""
+    monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "repro-store"))
     exec_stats.reset()
 
 
@@ -34,13 +35,13 @@ class TestCli:
         second = capsys.readouterr().out
         assert second == first
         assert exec_stats.scenarios_run == 5  # zero new simulations
-        assert exec_stats.cache_hits == 5
+        assert exec_stats.store_hits == 5
 
     def test_fig2_no_cache_resimulates(self, capsys):
         assert main(["fig2", "--tasks", "8", "--no-cache"]) == 0
         assert main(["fig2", "--tasks", "8", "--no-cache"]) == 0
         assert exec_stats.scenarios_run == 10
-        assert exec_stats.cache_hits == 0
+        assert exec_stats.store_hits == 0
 
     def test_fig2_parallel_matches_serial(self, capsys):
         assert main(["fig2", "--tasks", "8", "--no-cache"]) == 0
@@ -49,6 +50,18 @@ class TestCli:
                      "-j", "2"]) == 0
         parallel = capsys.readouterr().out
         assert parallel == serial
+
+    def test_plan_jobs_fan_out_over_stealing(self, capsys, monkeypatch):
+        # Four CPUs, so the single-CPU serial fallback cannot mask a
+        # runner that ignores -j.
+        monkeypatch.setattr("repro.exec.runner.os.cpu_count", lambda: 4)
+        assert main(["plan", "--hpcc", "1", "--own", "2", "--victims", "4",
+                     "--grid", "1.0", "--workload", "blast",
+                     "-j", "2"]) == 0
+        assert "capacity plan" in capsys.readouterr().out
+        assert exec_stats.sweeps_stealing == 1
+        assert exec_stats.sweeps_serial == 0
+        assert exec_stats.sched_workers_spawned == 2
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):

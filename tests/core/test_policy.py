@@ -151,19 +151,12 @@ class TestDeploymentConfigPolicy:
 
 
 class TestPlacementMapRenameShim:
-    def test_fs_package_alias_warns(self):
-        import repro.fs
-        with pytest.warns(DeprecationWarning, match="PlacementMap"):
-            cls = repro.fs.PlacementPolicy
-        assert cls is PlacementMap
-
-    def test_fs_placement_module_alias_warns(self):
-        import repro.fs.placement
-        with pytest.warns(DeprecationWarning, match="PlacementMap"):
-            cls = repro.fs.placement.PlacementPolicy
-        assert cls is PlacementMap
-
     def test_unknown_attribute_still_raises(self):
+        import repro.fs
         import repro.fs.placement
         with pytest.raises(AttributeError):
             repro.fs.placement.NoSuchThing
+        # The runtime object's old name is no longer an alias.
+        for module in (repro.fs, repro.fs.placement):
+            with pytest.raises(AttributeError):
+                module.PlacementPolicy

@@ -1,4 +1,4 @@
-"""Shared fixtures: isolate the executor counters and the cache dir."""
+"""Shared fixtures: isolate the executor counters and the store dir."""
 
 import pytest
 
@@ -10,13 +10,6 @@ def _fresh_exec_stats():
     exec_stats.reset()
     yield
     exec_stats.reset()
-
-
-@pytest.fixture
-def cache_dir(tmp_path, monkeypatch):
-    root = tmp_path / "repro-cache"
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
-    return root
 
 
 @pytest.fixture

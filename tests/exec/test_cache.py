@@ -1,126 +1,71 @@
-"""ResultCache: hits, misses, salt invalidation, corruption handling."""
+"""ResultStore as a sweep's result cache, seen through SweepRunner:
+hits, misses, salt invalidation, corruption handling, clearing."""
 
-import json
-import os
+from repro.exec import ResultStore, SweepRunner, exec_stats, fig2_spec
+from repro.units import MB
 
-import pytest
+SPEC = fig2_spec(0.25, n_tasks=4, file_size=4 * MB)
 
-from repro.exec import (ResultCache, ScenarioSpec, atomic_write_json,
-                        exec_stats)
 
-SPEC = ScenarioSpec.make("fig2", alpha=0.25, n_tasks=8)
-PAYLOAD = {"runtime_s": 1.25, "series": {"a": [[0.0], [1.0]]}}
+def _run(store):
+    return SweepRunner(cache=store).run([SPEC])[0]
 
 
 class TestCache:
-    def test_miss_then_hit(self, cache_dir):
-        cache = ResultCache(salt="v1")
-        assert cache.root == cache_dir
-        assert cache.get(SPEC) is None
-        cache.put(SPEC, PAYLOAD)
-        assert cache.get(SPEC) == PAYLOAD
-        assert exec_stats.cache_misses == 1
-        assert exec_stats.cache_hits == 1
-        assert exec_stats.cache_stores == 1
+    def test_miss_then_hit(self, store_dir):
+        store = ResultStore(salt="v1")
+        assert store.root == store_dir
+        cold = _run(store)
+        assert not cold.cached
+        assert exec_stats.store_misses == 1
+        assert exec_stats.store_stores == 1
+        warm = _run(store)
+        assert warm.cached and warm.payload == cold.payload
+        assert exec_stats.store_hits == 1
+        assert exec_stats.scenarios_run == 1  # the hit simulated nothing
 
-    def test_spec_change_is_a_plain_miss(self, cache_dir):
-        cache = ResultCache(salt="v1")
-        cache.put(SPEC, PAYLOAD)
-        other = ScenarioSpec.make("fig2", alpha=0.5, n_tasks=8)
-        assert cache.get(other) is None
-        assert exec_stats.cache_invalidations == 0
-        # the original entry survives
-        assert cache.get(SPEC) == PAYLOAD
+    def test_salt_change_invalidates_stale_entry(self, store_dir):
+        cold = _run(ResultStore(salt="v1"))
+        new = ResultStore(salt="v2")
+        fresh = _run(new)
+        assert not fresh.cached and fresh.payload == cold.payload
+        assert exec_stats.store_invalidations == 1
+        assert exec_stats.scenarios_run == 2
+        # the stale blob was replaced, not kept beside the fresh one
+        assert len(list(new.blob_dir.glob("*.json"))) == 1
+        assert _run(new).cached
 
-    def test_salt_change_invalidates_stale_entry(self, cache_dir):
-        old = ResultCache(salt="v1")
-        old.put(SPEC, PAYLOAD)
-        new = ResultCache(salt="v2")
-        assert new.get(SPEC) is None
-        assert exec_stats.cache_invalidations == 1
-        # the stale blob is gone even for the old salt
-        assert old.get(SPEC) is None
-        assert exec_stats.cache_invalidations == 1
+    def test_corrupt_blob_is_a_miss_and_recovers(self, store_dir):
+        store = ResultStore(salt="v1")
+        cold = _run(store)
+        store.blob_path(SPEC.fingerprint("v1")).write_text("{not json")
+        again = _run(store)
+        assert not again.cached and again.payload == cold.payload
+        assert exec_stats.scenarios_run == 2
+        assert _run(store).cached
 
-    def test_corrupt_blob_is_a_miss_and_recovers(self, cache_dir):
-        cache = ResultCache(salt="v1")
-        path = cache.put(SPEC, PAYLOAD)
-        path.write_text("{not json")
-        assert cache.get(SPEC) is None
-        cache.put(SPEC, PAYLOAD)
-        assert cache.get(SPEC) == PAYLOAD
+    def test_clear(self, store_dir):
+        store = ResultStore(salt="v1")
+        _run(store)
+        assert store.clear() == 1
+        assert not _run(store).cached
+        assert exec_stats.scenarios_run == 2
 
-    def test_payload_round_trips_exactly(self, cache_dir):
-        cache = ResultCache(salt="v1")
-        payload = {"x": 0.1 + 0.2, "y": [1e-300, 3, None, "s"],
-                   "nested": {"z": False}}
-        cache.put(SPEC, payload)
-        assert cache.get(SPEC) == payload
-
-    def test_clear(self, cache_dir):
-        cache = ResultCache(salt="v1")
-        cache.put(SPEC, PAYLOAD)
-        assert cache.clear() == 1
-        assert cache.get(SPEC) is None
-
-    def test_explicit_root_beats_env(self, tmp_path, cache_dir):
+    def test_explicit_root_beats_env(self, tmp_path, store_dir):
         explicit = tmp_path / "elsewhere"
-        cache = ResultCache(root=explicit, salt="v1")
-        cache.put(SPEC, PAYLOAD)
-        assert list(explicit.glob("s*-v*.json"))
-        assert not cache_dir.exists()
+        _run(ResultStore(root=explicit, salt="v1"))
+        assert list((explicit / "blobs").glob("*.json"))
+        assert not store_dir.exists()
 
 
 class TestAtomicWrite:
-    """Torn-write regression: unique temp names + rename publication."""
-
-    def test_crash_mid_write_leaves_published_entry_intact(self, tmp_path,
-                                                           monkeypatch):
-        target = tmp_path / "entry.json"
-        atomic_write_json(target, {"v": 1})
-
-        class Boom(RuntimeError):
-            pass
-
-        def explode(obj, fh, **kwargs):
-            fh.write('{"v": 2, "partial": ')  # tear mid-object...
-            raise Boom("disk full / SIGKILL stand-in")
-
-        monkeypatch.setattr("repro.exec.cache.json.dump", explode)
-        with pytest.raises(Boom):
-            atomic_write_json(target, {"v": 2})
-        # The published entry still reads back whole, and the torn temp
-        # file was removed rather than left for a future rename.
-        assert json.loads(target.read_text()) == {"v": 1}
-        assert list(tmp_path.iterdir()) == [target]
-
-    def test_concurrent_writers_get_private_temp_names(self, tmp_path,
-                                                       monkeypatch):
-        # The old scheme derived one shared "<name>.tmp" per target, so
-        # writer B truncated the temp file writer A was renaming.  Pin
-        # the fix: two interleaved writes use distinct temp paths.
-        import repro.exec.cache as cache_mod
-
-        seen = []
-        real_replace = os.replace
-
-        def spy_replace(src, dst):
-            seen.append(str(src))
-            real_replace(src, dst)
-
-        monkeypatch.setattr(cache_mod.os, "replace", spy_replace)
-        target = tmp_path / "entry.json"
-        atomic_write_json(target, {"v": 1})
-        atomic_write_json(target, {"v": 2})
-        assert len(seen) == 2 and seen[0] != seen[1]
-        assert all(s.endswith(".tmp") and "entry.json." in s for s in seen)
-        assert json.loads(target.read_text()) == {"v": 2}
-
-    def test_clear_sweeps_orphaned_temp_files(self, cache_dir):
-        cache = ResultCache(salt="v1")
-        cache.put(SPEC, PAYLOAD)
-        orphan = cache.root / "entry.json.abc123.tmp"
-        orphan.write_text('{"torn":')
-        assert cache.clear() == 1  # temp files are not entries
-        assert not orphan.exists()
-        assert not list(cache.root.glob("*.json"))
+    def test_clear_sweeps_orphaned_temp_files(self, store_dir):
+        store = ResultStore(salt="v1")
+        _run(store)
+        orphans = [store.blob_dir / "entry.json.abc123.tmp",
+                   store.root / "index.json.def456.tmp"]
+        for orphan in orphans:
+            orphan.write_text('{"torn":')
+        assert store.clear() == 1  # temp files are not entries
+        assert not any(o.exists() for o in orphans)
+        assert not list(store.blob_dir.glob("*.json"))

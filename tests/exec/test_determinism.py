@@ -1,7 +1,8 @@
-"""The determinism contract: process == serial, byte for byte.
+"""The determinism contract: worker processes == serial, byte for byte.
 
+The multi-process runs go through the work-stealing backend.
 Byte-identity is asserted on the canonical JSON of the payloads — the
-exact representation the on-disk cache stores — for the Fig. 2 sweep and
+exact representation the result store keeps — for the Fig. 2 sweep and
 an HPCC slowdown suite (baseline + a scavenging workload), both at
 reduced scale.
 """
@@ -27,7 +28,7 @@ class TestFig2Determinism:
         specs = fig2_sweep_specs(n_tasks=8, file_size=16 * MB,
                                  keep_series=True)
         serial = SweepRunner("serial").run(specs)
-        parallel = SweepRunner("process", jobs=2).run(specs)
+        parallel = SweepRunner("stealing", jobs=2).run(specs)
         assert _canon(serial) == _canon(parallel)
 
     def test_sweep_matches_direct_runs(self):
@@ -49,12 +50,12 @@ class TestSlowdownDeterminism:
         specs = [slowdown_suite_spec(
             TINY_CFG, "hpcc", suite_scale=0.05, workload=workload,
             workload_kwargs=kwargs if workload else None, warmup=3.0)]
-        # Two independent scenario copies so the process pool has fan-out.
+        # Two independent scenarios so the worker pool has fan-out.
         specs = specs + [slowdown_suite_spec(
             TINY_CFG, "hpcc", suite_scale=0.1, workload=workload,
             workload_kwargs=kwargs if workload else None, warmup=3.0)]
         serial = SweepRunner("serial").run(specs)
-        parallel = SweepRunner("process", jobs=2).run(specs)
+        parallel = SweepRunner("stealing", jobs=2).run(specs)
         assert _canon(serial) == _canon(parallel)
         for res in serial:
             times = res.payload["runtimes_s"]

@@ -97,6 +97,19 @@ class TestStealingBackend:
             SweepRunner("stealing", jobs=2, auto_fallback=False).run(specs)
         assert exec_stats.worker_crashes == 1
 
+    def test_pickle_hostile_exception_keeps_its_cause(self):
+        # An executor exception that cannot cross the worker pipe raw
+        # (args/__init__ mismatch) must still surface with its real
+        # message, not dissolve into a worker-death retry.
+        specs = [ScenarioSpec.make("debug-crash", pickle_hostile=True),
+                 ScenarioSpec.make("debug-crash", pickle_hostile=True,
+                                   tag=1)]
+        with pytest.raises(ScenarioError,
+                           match="13: debug-crash scenario failed") as err:
+            SweepRunner("stealing", jobs=2, auto_fallback=False).run(specs)
+        assert "retries exhausted" not in str(err.value)
+        assert exec_stats.sched_requeues == 0
+
 
 class TestCrashRecovery:
     def test_worker_death_is_retried_to_success(self, tmp_path):

@@ -1,9 +1,12 @@
 """ResultStore: index, LRU+TTL eviction, GC, estimates, counters."""
 
 import json
+import os
 
-from repro.exec import (ResultStore, ScenarioSpec, SweepRunner, exec_stats,
-                        fig2_spec)
+import pytest
+
+from repro.exec import (ResultStore, ScenarioSpec, SweepRunner,
+                        atomic_write_json, exec_stats, fig2_spec)
 from repro.units import MB
 
 TINY = dict(n_tasks=4, file_size=4 * MB)
@@ -55,6 +58,21 @@ class TestBasics:
         # the stale blob is gone and the entry dropped
         assert len(new) == 0
         assert not list(new.blob_dir.glob("*.json"))
+
+    def test_spec_change_is_a_plain_miss(self, store_dir):
+        store = ResultStore(salt="v1")
+        store.put(spec_n(1), {"ok": 1})
+        assert store.get(spec_n(2)) is None
+        assert exec_stats.store_invalidations == 0
+        # the original entry survives
+        assert store.get(spec_n(1)) == {"ok": 1}
+
+    def test_payload_round_trips_exactly(self, store_dir):
+        store = ResultStore(salt="v1")
+        payload = {"x": 0.1 + 0.2, "y": [1e-300, 3, None, "s"],
+                   "nested": {"z": False}}
+        store.put(spec_n(1), payload)
+        assert ResultStore(salt="v1").get(spec_n(1)) == payload
 
     def test_corrupt_blob_is_a_miss_and_recovers(self, store_dir):
         store = ResultStore(salt="v1")
@@ -171,6 +189,52 @@ class TestGC:
     def test_gc_on_empty_store_is_a_noop(self, store_dir):
         assert ResultStore(salt="v1").gc() == {"orphan_blobs": 0,
                                                "dangling_entries": 0}
+
+
+class TestAtomicWrite:
+    """Torn-write regression: unique temp names + rename publication."""
+
+    def test_crash_mid_write_leaves_published_entry_intact(self, tmp_path,
+                                                           monkeypatch):
+        target = tmp_path / "entry.json"
+        atomic_write_json(target, {"v": 1})
+
+        class Boom(RuntimeError):
+            pass
+
+        def explode(obj, fh, **kwargs):
+            fh.write('{"v": 2, "partial": ')  # tear mid-object...
+            raise Boom("disk full / SIGKILL stand-in")
+
+        monkeypatch.setattr("repro.exec.store.json.dump", explode)
+        with pytest.raises(Boom):
+            atomic_write_json(target, {"v": 2})
+        # The published entry still reads back whole, and the torn temp
+        # file was removed rather than left for a future rename.
+        assert json.loads(target.read_text()) == {"v": 1}
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_concurrent_writers_get_private_temp_names(self, tmp_path,
+                                                       monkeypatch):
+        # A shared "<name>.tmp" per target would let writer B truncate
+        # the temp file writer A was renaming.  Pin the fix: two
+        # interleaved writes use distinct temp paths.
+        import repro.exec.store as store_mod
+
+        seen = []
+        real_replace = os.replace
+
+        def spy_replace(src, dst):
+            seen.append(str(src))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(store_mod.os, "replace", spy_replace)
+        target = tmp_path / "entry.json"
+        atomic_write_json(target, {"v": 1})
+        atomic_write_json(target, {"v": 2})
+        assert len(seen) == 2 and seen[0] != seen[1]
+        assert all(s.endswith(".tmp") and "entry.json." in s for s in seen)
+        assert json.loads(target.read_text()) == {"v": 2}
 
 
 class TestEstimates:

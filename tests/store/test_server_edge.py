@@ -4,7 +4,8 @@ import pytest
 
 from repro.cluster import build_das5
 from repro.sim import Environment, Interrupt
-from repro.store import (Op, Request, StoreClient, StoreError, StoreServer)
+from repro.store import (Op, Request, StoreClient, StoreError, StoreErrorCode,
+                         StoreServer)
 from repro.units import GB, MB
 
 
@@ -136,7 +137,7 @@ class TestMisc:
 
         resp = drive(env, flow())
         assert not resp.ok
-        assert "bad-request" in resp.error
+        assert resp.code is StoreErrorCode.BAD_REQUEST
 
     def test_info_via_client(self, rig):
         env, _c, _o, _v, server, client = rig
