@@ -13,7 +13,10 @@ Reported (and written to ``results/fault-recovery.json``):
 * clean vs. storm virtual runtime and the inflation percentage,
 * MTTR — revocation to drained evacuation, via ``fault_stats``,
 * data integrity (every payload must read back intact: zero losses),
-* redundancy deficits after a repair-daemon sweep (must be zero).
+* redundancy deficits after a repair-daemon sweep (must be zero), and
+  the copies that sweep had to restore (``sweep_repaired``) — what the
+  graceful drains left under-replicated, which a zero deficit count
+  alone would hide because the sweep repairs before it counts.
 
 ``FAULT_SMOKE=1`` shrinks the population for the CI smoke lane; smoke
 results are written under a separate key so they never overwrite the
@@ -86,13 +89,14 @@ def _run_once(storm_at: float | None) -> dict:
     # One repair sweep proves full redundancy is back (deficits == 0).
     daemon = RepairDaemon(env, fs, manager=dep.manager)
     sweep = env.process(daemon.sweep())
-    env.run(until=sweep)
+    repaired = env.run(until=sweep)
 
     out = {
         "write_s": t_write,
         "runtime_s": runtime,
         "data_losses": losses,
         "redundancy_deficits": daemon.deficits,
+        "sweep_repaired": repaired,
         "counters": fault_stats.snapshot(),
         "servers": sorted(fs.servers),
     }
@@ -121,7 +125,7 @@ def run_fault_recovery() -> dict:
                    "storm_at_s": storm_at, "seed": SEED, "smoke": SMOKE},
         "clean": {k: clean[k] for k in
                   ("write_s", "runtime_s", "data_losses",
-                   "redundancy_deficits")},
+                   "redundancy_deficits", "sweep_repaired")},
         "storm": storm,
         "inflation_pct": (storm["runtime_s"] / clean["runtime_s"] - 1.0)
         * 100.0,
@@ -138,11 +142,13 @@ def test_fault_recovery(benchmark):
     clean, storm = data["clean"], data["storm"]
     print()
     print(render_table(
-        ["run", "runtime (s)", "losses", "deficits", "revoked"],
+        ["run", "runtime (s)", "losses", "deficits", "sweep repaired",
+         "revoked"],
         [["clean", f"{clean['runtime_s']:.3f}", clean["data_losses"],
-          clean["redundancy_deficits"], 0],
+          clean["redundancy_deficits"], clean["sweep_repaired"], 0],
          ["storm", f"{storm['runtime_s']:.3f}", storm["data_losses"],
-          storm["redundancy_deficits"], storm["victims_revoked"]]],
+          storm["redundancy_deficits"], storm["sweep_repaired"],
+          storm["victims_revoked"]]],
         title="Fault recovery under a revocation storm "
               f"(inflation {fmt_pct(data['inflation_pct'])}, "
               f"MTTR {data['mttr_s']:.3f}s)"))

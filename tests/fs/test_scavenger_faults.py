@@ -2,10 +2,13 @@
 concurrent revocations, crash handling and the repair daemon."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import build_das5
 from repro.faults import fault_stats
-from repro.fs import ClassSpec, MemFSS, PlacementMap, ScavengingManager
+from repro.fs import (ClassSpec, FileNotFound, MemFSS, PlacementMap,
+                      ScavengingManager, pressure_stats)
 from repro.fs.scavenger import RepairDaemon
 from repro.fs.striping import stripe_key
 from repro.hashing import own_victim_weights
@@ -16,8 +19,10 @@ from repro.units import GB
 @pytest.fixture(autouse=True)
 def _reset_stats():
     fault_stats.reset()
+    pressure_stats.reset()
     yield
     fault_stats.reset()
+    pressure_stats.reset()
 
 
 def build_rig(alpha=0.25, n_own=2, n_victim=4, per_node_memory=2 * GB,
@@ -53,6 +58,30 @@ def write_blobs(cluster, fs, own, count=12, size=640):
     for path, blob in blobs.items():
         run(cluster, fs.write_file(own[0], path, payload=blob))
     return blobs
+
+
+def stripe_plans(cluster, fs, own):
+    """path -> the stripe plan of that file's recorded membership."""
+    return {path: fs._plan_for(run(cluster, fs.stat(own[0], path)))
+            for path in run(cluster, fs.list_all_files(own[0]))}
+
+
+def holders(fs, key):
+    """Live stores that physically hold *key*."""
+    return [n for n, s in fs.servers.items() if s.kv.contains(key)]
+
+
+def readable(cluster, fs, own, blobs):
+    """The paths that read back byte-identical."""
+    ok = set()
+    for path, blob in blobs.items():
+        try:
+            _n, back = run(cluster, fs.read_file(own[0], path))
+        except FileNotFound:
+            continue
+        if back == blob:
+            ok.add(path)
+    return ok
 
 
 class TestReadDuringEvacuation:
@@ -242,3 +271,102 @@ class TestCrashAndRepair:
         assert fault_stats.open_faults == ()
         assert fault_stats.recoveries == 1
         assert fault_stats.mttr() >= 0.0
+
+
+class TestSpilledCopies:
+    """Capacity-guarded writes spill copies below rank k of the chain;
+    every mover must find, move and retire them like planned copies."""
+
+    def test_evacuation_moves_capacity_spilled_stripes(self):
+        cluster, fs, mgr, own, victims = build_rig(alpha=0.25)
+        fs.servers[victims[0].name].kv.capacity = 4000
+        blobs = write_blobs(cluster, fs, own, count=40)
+        assert pressure_stats.spilled_writes > 0
+        gone = victims[1]
+        # The revoked node holds copies it is not the planned home of.
+        assert any(gone.name in holders(fs, key)
+                   and plan.primary(idx) != gone.name
+                   for plan in stripe_plans(cluster, fs, own).values()
+                   for idx, key in enumerate(plan.keys))
+        cluster.reservations.revoke_leases(gone, cause="pressure")
+        cluster.env.run()
+        assert gone.name not in fs.servers
+        assert readable(cluster, fs, own, blobs) == set(blobs)
+
+    def test_evacuation_keeps_every_replica(self):
+        cluster, fs, mgr, own, victims = build_rig(alpha=0.25, n_victim=5,
+                                                   replication=2)
+        write_blobs(cluster, fs, own, count=20)
+        cluster.reservations.revoke_leases(victims[0], cause="pressure")
+        cluster.env.run()
+        assert mgr.moved_keys
+        # No repair sweep: the drain alone keeps both copies of every
+        # stripe, the moved one on the node the top-2 chain gained.
+        for plan in stripe_plans(cluster, fs, own).values():
+            for key in plan.keys:
+                assert len(holders(fs, key)) == 2, key
+
+    def test_retune_retires_spilled_copies(self):
+        cluster, fs, mgr, own, victims = build_rig(alpha=0.25)
+        fs.servers[victims[0].name].kv.capacity = 3000
+        blobs = write_blobs(cluster, fs, own, count=30)
+        assert pressure_stats.spilled_writes > 0
+        summary = run(cluster, mgr.rebalance(
+            fs.policy.reweighted(own_victim_weights(0.9))))
+        assert summary["moved_stripes"] > 0
+        assert summary["freed_bytes"] == summary["moved_bytes"]
+        for plan in stripe_plans(cluster, fs, own).values():
+            for key in plan.keys:
+                assert len(holders(fs, key)) == 1, key
+        assert readable(cluster, fs, own, blobs) == set(blobs)
+
+
+#: One step of the interleaving: (kind, victim index or alpha).
+_STEP = st.one_of(
+    st.tuples(st.sampled_from(["crash", "revoke"]), st.integers(0, 3)),
+    st.tuples(st.just("rebalance"), st.sampled_from([0.0, 0.5, 0.9])))
+
+
+class TestMoverNeverDeletesTheLastCopy:
+    @settings(max_examples=12, deadline=None)
+    @given(replication=st.sampled_from([1, 2]),
+           capacities=st.lists(st.sampled_from([1500, 3000, 2 * GB]),
+                               min_size=4, max_size=4),
+           steps=st.lists(_STEP, min_size=1, max_size=4))
+    def test_crash_revocation_and_retune_interleavings(
+            self, replication, capacities, steps):
+        fault_stats.reset()
+        pressure_stats.reset()
+        cluster, fs, mgr, own, victims = build_rig(
+            alpha=0.25, replication=replication)
+        for node, cap in zip(victims, capacities):
+            fs.servers[node.name].kv.capacity = cap
+        blobs = write_blobs(cluster, fs, own, count=12)
+        ok = readable(cluster, fs, own, blobs)
+        for kind, arg in steps:
+            if kind == "rebalance":
+                run(cluster, mgr.rebalance(
+                    fs.policy.reweighted(own_victim_weights(arg))))
+                after = readable(cluster, fs, own, blobs)
+                assert ok <= after, f"retune lost {sorted(ok - after)}"
+                continue
+            node = victims[arg]
+            if node.name not in fs.servers:
+                continue
+            if kind == "revoke":
+                cluster.reservations.revoke_leases(node, cause="pressure")
+                cluster.env.run()
+                after = readable(cluster, fs, own, blobs)
+                assert ok <= after, f"drain lost {sorted(ok - after)}"
+                continue
+            # A crash may only take files with a stripe whose every copy
+            # sat on the crashed node.
+            doomed = {path for path, plan
+                      in stripe_plans(cluster, fs, own).items()
+                      if any(holders(fs, k) == [node.name]
+                             for k in plan.keys)}
+            fs.servers[node.name].crash()
+            mgr.handle_crash(node.name)
+            after = readable(cluster, fs, own, blobs)
+            assert ok - after <= doomed, sorted(ok - after - doomed)
+            ok = after
