@@ -42,12 +42,15 @@ and per-link numbers live in slot-indexed numpy arrays owned by the
 network; :class:`NetFlow` / :class:`Link` objects are handles whose
 properties read the arrays while attached and scalar fallbacks once
 detached (which also keeps the dict-based reference oracle working
-unmodified on standalone objects).  The settle step and the per-component
-fill are vectorized, with every order-sensitive float reduction
-(class-byte accumulation, per-link used-rate sums) routed through
-``np.add.at`` / ``np.bincount`` so it accumulates in *creation order* —
-the same float sequence the per-object loops produced, keeping
-trajectories bit-identical (see the summation invariant in DESIGN.md §11).
+unmodified on standalone objects).  Attached flows are listed in the
+creation-ordered ``_live`` slot list (a slot returns to the free pool
+the moment its flow detaches), so settle and flush cost scales with the
+live population.  Every order-sensitive float reduction (class-byte
+accumulation, per-link used-rate sums) runs in *creation order* — a
+scalar loop over ``_live`` for small populations, ``np.add.at`` /
+``np.bincount`` above that — the same float sequence the per-object
+loops produced, keeping trajectories bit-identical (see the summation
+invariant in DESIGN.md §11).
 
 Process-wide :data:`flownet_stats` counters expose solves, rounds and
 flows/links touched for the perf suite (``benchmarks/bench_perf_suite.py``).
@@ -62,6 +65,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .fluid import _SCALAR_MAX
 from .kernel import Environment, Event, SimulationError
 
 __all__ = ["Link", "NetFlow", "FlowNetwork", "progressive_fill",
@@ -235,7 +239,8 @@ class NetFlow:
 
     __slots__ = ("work", "done", "label", "class_prefix",
                  "started_at", "finished_at", "_net", "_seq", "_slot",
-                 "_rate_s", "_rem_s", "_cap_s", "_links_t", "_lslots")
+                 "_rate_s", "_rem_s", "_cap_s", "_links_t", "_lslots",
+                 "_pidx")
 
     def __init__(self, env: Environment, links: tuple[Link, ...] | None,
                  work: float | None, cap: float, label: str,
@@ -260,6 +265,7 @@ class NetFlow:
         self.finished_at: float | None = None
         self._net = net
         self._seq = 0  # creation order within a FlowNetwork (see _solve)
+        self._pidx = -1  # interned class_prefix index while attached
 
     @property
     def links(self) -> tuple[Link, ...]:
@@ -443,14 +449,11 @@ class FlowNetwork:
         self._f_prefix = np.full(nf, -1, dtype=np.int32)
         self._f_links = np.full((nf, self._W), _PAD, dtype=np.int32)
         self._f_deg = np.zeros(nf, dtype=np.int32)
-        self._alive = np.zeros(nf, dtype=bool)
         self._objs: list[NetFlow | None] = [None] * nf
         self._seqs: list[int] = [0] * nf
         self._free = list(range(nf - 1, -1, -1))
-        self._freeq: list[int] = []
-        self._act = np.zeros(nf, dtype=np.int32)
-        self._act_n = 0
-        self._act_dead = 0
+        #: attached flow slots in creation order
+        self._live: list[int] = []
         #: adjacency: link slot -> set of active flow slots crossing it
         self._flows_of: list[set[int]] = []
         #: link slots whose component must be re-solved at the next flush
@@ -647,26 +650,8 @@ class FlowNetwork:
 
     # -- flow slot machinery ---------------------------------------------------
     def _active(self) -> np.ndarray:
-        """Active flow slots in creation order (tombstones filtered)."""
-        a = self._act[: self._act_n]
-        if self._act_dead:
-            a = a[self._alive[a]]
-        return a
-
-    def _compact(self) -> None:
-        """Drop tombstones from ``_act`` and promote quarantined slots.
-
-        Only after compaction may a freed slot be reused: until then a
-        stale ``_act`` entry still references it, and reusing it would
-        resurrect the entry as a duplicate of the new flow.
-        """
-        a = self._active()
-        n = len(a)
-        self._act[:n] = a
-        self._act_n = n
-        self._act_dead = 0
-        self._free.extend(self._freeq)
-        self._freeq.clear()
+        """Active flow slots in creation order."""
+        return np.asarray(self._live, dtype=np.intp)
 
     def _grow_flows(self) -> None:
         old = len(self._objs)
@@ -675,10 +660,9 @@ class FlowNetwork:
             arr = np.zeros(new)
             arr[:old] = getattr(self, name)
             setattr(self, name, arr)
-        for name in ("_f_pers", "_alive"):
-            arr = np.zeros(new, dtype=bool)
-            arr[:old] = getattr(self, name)
-            setattr(self, name, arr)
+        pers = np.zeros(new, dtype=bool)
+        pers[:old] = self._f_pers
+        self._f_pers = pers
         pref = np.full(new, -1, dtype=np.int32)
         pref[:old] = self._f_prefix
         self._f_prefix = pref
@@ -712,9 +696,7 @@ class FlowNetwork:
 
     def _attach(self, flow: NetFlow) -> None:
         if not self._free:
-            self._compact()
-            if not self._free:
-                self._grow_flows()
+            self._grow_flows()
         s = self._free.pop()
         flow._slot = s
         deg = len(flow._lslots)
@@ -724,41 +706,30 @@ class FlowNetwork:
         self._f_rem[s] = flow._rem_s
         self._f_rate[s] = 0.0
         self._f_pers[s] = flow.work is None
-        self._f_prefix[s] = (-1 if flow.class_prefix is None
-                             else self._intern_prefix(flow.class_prefix))
+        flow._pidx = (-1 if flow.class_prefix is None
+                      else self._intern_prefix(flow.class_prefix))
+        self._f_prefix[s] = flow._pidx
         self._f_links[s, :deg] = flow._lslots
         self._f_links[s, deg:] = _PAD
         self._f_deg[s] = deg
-        self._alive[s] = True
         self._objs[s] = flow
         self._seqs[s] = flow._seq
-        if self._act_n == len(self._act):
-            if self._act_dead > len(self._act) // 2:
-                self._compact()
-            else:
-                act = np.zeros(len(self._act) * 2, dtype=np.int32)
-                act[: self._act_n] = self._act[: self._act_n]
-                self._act = act
-        self._act[self._act_n] = s
-        self._act_n += 1
+        self._live.append(s)
 
     def _detach(self, flow: NetFlow) -> None:
-        """Array-side teardown: copy state to scalars, tombstone the slot.
+        """Array-side teardown: copy state to scalars, free the slot.
 
-        Tombstones are inert in the vectorized settle (rate pinned to
-        0.0, and ``x - 0.0 == x`` / ``x + 0.0 == x`` bitwise), so the
-        ``_act`` buffer is compacted lazily.
+        Every scan walks ``_live``, so nothing references a detached
+        slot and it is reusable at once.
         """
         s = flow._slot
         flow._cap_s = float(self._f_cap[s])
         flow._rem_s = float(self._f_rem[s])
         flow._rate_s = 0.0
         flow._slot = -1
-        self._alive[s] = False
-        self._f_rate[s] = 0.0
         self._objs[s] = None
-        self._freeq.append(s)
-        self._act_dead += 1
+        self._free.append(s)
+        self._live.remove(s)
 
     # -- internals --------------------------------------------------------------
     def _mark(self, link_slots: Iterable[int]) -> None:
@@ -790,28 +761,43 @@ class FlowNetwork:
         dt = now - self._last_update
         if dt <= 0:
             return
-        # Work drain: identical elementwise float sequence as the old
-        # per-flow loop (remaining -= rate*dt, clamp at zero); persistent
-        # flows subtract exactly 0.0 so their inf remaining is untouched.
-        drain = np.where(self._f_pers, 0.0, self._f_rate * dt)
-        np.subtract(self._f_rem, drain, out=self._f_rem)
-        np.maximum(self._f_rem, 0.0, out=self._f_rem)
-        # Class-byte accounting must accumulate in creation order (float
-        # addition order is observable); the raw _act buffer is creation
-        # ordered and its tombstones contribute exactly 0.0.  np.add.at
-        # applies repeated indices sequentially in input order.
-        aw = self._act[: self._act_n]
-        if len(aw):
-            pf = self._f_prefix[aw]
-            sel = pf >= 0
+        # Work drain (remaining -= rate*dt, clamp at zero) and class-byte
+        # accounting over the live flows only, in creation order: float
+        # addition order is observable.  Persistent flows drain nothing
+        # (their remaining stays inf).  A flow that moved exactly 0.0
+        # bytes is skipped: x - 0.0 == x and, on the >= +0.0
+        # accumulators, x + 0.0 == x bitwise.
+        live = self._live
+        if len(live) <= _SCALAR_MAX:
+            f_rem, f_rate, acc = self._f_rem, self._f_rate, self._class_acc
+            objs = self._objs
+            for s in live:
+                m = f_rate[s] * dt
+                if m == 0.0:
+                    continue
+                flow = objs[s]
+                if flow.work is not None:
+                    r = f_rem[s] - m
+                    f_rem[s] = 0.0 if r < 0.0 else r
+                p = flow._pidx
+                if p >= 0:
+                    for ls in flow._lslots:
+                        acc[ls, p] += m
+        else:
+            # np.add.at applies repeated indices sequentially in input
+            # order, i.e. creation order on the flattened accumulator.
+            a = np.asarray(live, dtype=np.intp)
+            moved = self._f_rate[a] * dt
+            rem = self._f_rem[a] - np.where(self._f_pers[a], 0.0, moved)
+            self._f_rem[a] = np.maximum(rem, 0.0)
+            pf = self._f_prefix[a]
+            sel = (pf >= 0) & (moved != 0.0)
             if sel.any():
-                fs = aw[sel]
-                moved = np.repeat(self._f_rate[fs] * dt, self._W)
-                lf = self._f_links[fs].ravel()
-                ok = lf >= 0
-                np.add.at(self._class_acc,
-                          (lf[ok], np.repeat(pf[sel], self._W)[ok]),
-                          moved[ok])
+                lf = self._f_links[a[sel]].astype(np.intp)
+                ok = (lf >= 0).ravel()
+                idx = (lf * self._class_acc.shape[1] + pf[sel, None]).ravel()
+                np.add.at(self._class_acc.reshape(-1), idx[ok],
+                          np.repeat(moved[sel], self._W)[ok])
         nl = self._nl
         self._l_busy[:nl] += self._l_used[:nl] * dt
         self._last_update = now

@@ -307,11 +307,9 @@ class FluidResource:
     """A single shared capacity (one NIC direction, one memory bus, one CPU
     socket pair) dividing its rate among flows by capped max-min fairness.
 
-    State is struct-of-arrays: slot-indexed cap/rate/remaining vectors, an
-    ``_act`` append-only active-slot buffer in creation order (with
-    tombstones, compacted lazily), and a quarantined free list so a slot
-    freed this instant cannot be reused while a stale ``_act`` entry still
-    points at it.
+    State is struct-of-arrays: slot-indexed cap/rate/remaining vectors and
+    ``_act_list``, the attached slots in creation order.  A slot returns
+    to the free list the moment its flow detaches.
     """
 
     def __init__(self, env: Environment, capacity: float, name: str = ""):
@@ -325,16 +323,9 @@ class FluidResource:
         self._f_rem = np.zeros(n)
         self._f_rate = np.zeros(n)
         self._f_pers = np.zeros(n, dtype=bool)
-        self._alive = np.zeros(n, dtype=bool)
         self._objs: list[Flow | None] = [None] * n
         self._free = list(range(n - 1, -1, -1))
-        self._freeq: list[int] = []
-        self._act = np.zeros(n, dtype=np.int32)
-        self._act_n = 0
-        self._act_dead = 0
-        # Exact alive slots in creation order, maintained eagerly: the
-        # scalar paths iterate it directly and _active() builds from it,
-        # skipping the tombstone mask of the append-only _act buffer.
+        #: attached slots in creation order
         self._act_list: list[int] = []
         # Attached flows with a finite rate cap; when zero, the active
         # population is uncapped-equal and its allocation is memoizable.
@@ -435,25 +426,8 @@ class FluidResource:
 
     # -- slot machinery ------------------------------------------------------
     def _active(self) -> np.ndarray:
-        """Active slots in creation order (tombstones filtered)."""
-        if not self._act_dead:
-            return self._act[: self._act_n]
-        return np.asarray(self._act_list, dtype=np.int32)
-
-    def _compact(self) -> None:
-        """Drop tombstones from ``_act`` and promote quarantined slots.
-
-        Only after compaction may a freed slot be reused: until then a
-        stale ``_act`` entry still references it, and reusing it would
-        resurrect the entry as a duplicate of the new flow.
-        """
-        a = self._active()
-        n = len(a)
-        self._act[:n] = a
-        self._act_n = n
-        self._act_dead = 0
-        self._free.extend(self._freeq)
-        self._freeq.clear()
+        """Active slots in creation order."""
+        return np.asarray(self._act_list, dtype=np.intp)
 
     def _grow(self) -> None:
         old = len(self._objs)
@@ -462,18 +436,15 @@ class FluidResource:
             arr = np.zeros(new)
             arr[:old] = getattr(self, name)
             setattr(self, name, arr)
-        for name in ("_f_pers", "_alive"):
-            arr = np.zeros(new, dtype=bool)
-            arr[:old] = getattr(self, name)
-            setattr(self, name, arr)
+        pers = np.zeros(new, dtype=bool)
+        pers[:old] = self._f_pers
+        self._f_pers = pers
         self._objs.extend([None] * (new - old))
         self._free.extend(range(new - 1, old - 1, -1))
 
     def _attach(self, flow: Flow) -> None:
         if not self._free:
-            self._compact()
-            if not self._free:
-                self._grow()
+            self._grow()
         s = self._free.pop()
         flow._slot = s
         self._f_cap[s] = flow._cap_s
@@ -484,21 +455,15 @@ class FluidResource:
         self._f_rem[s] = flow._rem_s
         self._f_rate[s] = 0.0
         self._f_pers[s] = flow.work is None
-        self._alive[s] = True
         self._objs[s] = flow
-        if self._act_n == len(self._act):
-            if self._act_dead > len(self._act) // 2:
-                self._compact()
-            else:
-                act = np.zeros(len(self._act) * 2, dtype=np.int32)
-                act[: self._act_n] = self._act[: self._act_n]
-                self._act = act
-        self._act[self._act_n] = s
-        self._act_n += 1
         self._act_list.append(s)
 
     def _detach(self, flow: Flow) -> None:
-        """Array-side teardown: copy state to scalars, tombstone the slot."""
+        """Array-side teardown: copy state to scalars, free the slot.
+
+        The rate is pinned to 0.0 so the free slot stays inert in the
+        whole-range settle until it is reused.
+        """
         s = flow._slot
         flow._cap_s = float(self._f_cap[s])
         if flow._cap_s != math.inf:
@@ -508,19 +473,17 @@ class FluidResource:
         flow._rem_s = float(self._f_rem[s])
         flow._rate_s = 0.0
         flow._slot = -1
-        self._alive[s] = False
         self._f_rate[s] = 0.0
         self._objs[s] = None
-        self._freeq.append(s)
-        self._act_dead += 1
+        self._free.append(s)
         self._act_list.remove(s)
 
     # -- internals -----------------------------------------------------------
     def _settle(self) -> None:
         """Advance every flow's progress from the last update to now.
 
-        Vectorized over the whole slot range: tombstoned/free slots carry
-        rate 0.0, and ``x - 0.0 == x`` bitwise, so they are inert.  The
+        Vectorized over the whole slot range: free slots carry rate 0.0,
+        and ``x - 0.0 == x`` bitwise, so they are inert.  The
         elementwise update computes the identical float sequence as the
         old per-flow loop (``remaining -= rate*dt`` then clamp at zero).
         Persistent flows must subtract exactly 0.0 — not ``rate*dt`` —
@@ -544,7 +507,7 @@ class FluidResource:
         # a flow finishing sooner than this must complete immediately or the
         # wakeup would be scheduled at `now + dt == now` and spin forever.
         min_dt = max(math.nextafter(now, math.inf) - now, 1e-12)
-        if self._act_n - self._act_dead <= 1:
+        if len(self._act_list) <= 1:
             # 0 or 1 active flows — the dominant case for task CPUs and
             # store cost meters, where the numpy temporaries of the
             # general path cost more than the whole computation.  Pure
@@ -580,7 +543,7 @@ class FluidResource:
                 break
             self._arm_wakeup(horizon)
             return
-        if self._act_n - self._act_dead <= _SCALAR_MAX:
+        if len(self._act_list) <= _SCALAR_MAX:
             # Small populations (a store cost meter with a few concurrent
             # ops): run the same algorithm on Python scalars.  Fancy
             # indexing and the tolist() round-trip cost more than the
@@ -708,4 +671,4 @@ class FluidResource:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<FluidResource {self.name!r} cap={self.capacity:.3g} "
-                f"flows={self._act_n - self._act_dead}>")
+                f"flows={len(self._act_list)}>")

@@ -1,11 +1,13 @@
 """Unit tests for the max-min fair flow network."""
 
 import math
+import random
 
 import pytest
 
 from repro.sim import Environment, FlowNetwork, SimulationError
 from repro.sim.flownet import progressive_fill
+from repro.sim.fluid import _SCALAR_MAX
 
 
 def make_net(env, nodes=2, cap=100.0):
@@ -188,3 +190,123 @@ class TestFlowNetworkDynamics:
         # Total bytes through all tx links equals total submitted bytes.
         tx_busy = sum(net.busy_time(L[f"tx{i}"]) * 37.0 for i in range(6))
         assert tx_busy == pytest.approx(sum(rng_sizes), rel=1e-6)
+
+
+class TestSettleAccountingExact:
+    """Settle accounting equals a plain-Python creation-order oracle, ``==``.
+
+    The oracle wraps ``_settle``: before each real settle it reads every
+    attached flow's rate and remaining and every link's used rate, then
+    applies the per-object arithmetic (``remaining -= rate*dt`` clamped at
+    zero, class bytes added flow by flow in creation order and link by
+    link along each path, busy integral ``+= used*dt``).  Bursts of
+    equal-sized flows complete at one instant, so freed slots are reused
+    by the next burst; populations straddle ``_SCALAR_MAX``.
+    """
+
+    LABELS = ("store:w", "store:r", "store:w", "tenant:shuffle", "",
+              "plain", "mon:probe")
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_churn_matches_oracle(self, seed):
+        rng = random.Random(seed)
+        env = Environment()
+        n_nodes = 6
+        net, L = make_net(env, nodes=n_nodes, cap=97.0)
+        links = list(L.values())
+        created = []                 # every flow, creation order
+        oracle_rem = {}              # flow -> expected remaining
+        oracle_cb = {l: {} for l in links}
+        oracle_busy = {l: 0.0 for l in links}
+        last = [env.now]
+        sizes = {"small": 0, "large": 0}
+        mismatches = []
+        real_settle = net._settle
+
+        def settle():
+            dt = env.now - last[0]
+            if dt > 0:
+                live = [f for f in created if f._slot >= 0]
+                sizes["small" if len(live) <= _SCALAR_MAX else "large"] += 1
+                expect = {}
+                for f in live:  # creation order
+                    m = f._rate * dt
+                    rem = f.remaining
+                    if not f.persistent:
+                        rem = max(rem - m, 0.0)
+                    expect[f] = rem
+                    if f.class_prefix is not None:
+                        for l in f.links:
+                            cb = oracle_cb[l]
+                            cb[f.class_prefix] = (
+                                cb.get(f.class_prefix, 0.0) + m)
+                for l in links:
+                    oracle_busy[l] += l._used_rate * dt
+                last[0] = env.now
+                real_settle()
+                for f, rem in expect.items():
+                    oracle_rem[f] = rem
+                    if f.remaining != rem:
+                        mismatches.append((env.now, f.label, f.remaining, rem))
+            else:
+                real_settle()
+
+        net._settle = settle
+
+        def start(path, nbytes, label):
+            # Some flows carry a rate cap, so flows sharing a link move
+            # different byte counts and summation order shows.
+            cap = rng.choice((math.inf, rng.uniform(0.5, 20.0)))
+            f = net.transfer(path, nbytes, cap=cap, label=label)
+            created.append(f)
+            oracle_rem[f] = f.remaining
+
+        def driver():
+            for step in range(300):
+                # Phases of 50 steps alternate small and large bursts,
+                # each ending in an idle stretch that drains the
+                # population back below _SCALAR_MAX.
+                small = step // 50 % 2 == 0
+                # Small phases crowd three nodes, so flows share links.
+                nodes = range(3 if small else n_nodes)
+                yield env.timeout(30.0 if step % 50 == 49 else
+                                  rng.choice((0.0, rng.uniform(0.05, 2.0))))
+                live = [f for f in created if f._slot >= 0]
+                roll = rng.random()
+                if roll < 0.45:
+                    # A burst of equal flows on one path: they finish
+                    # together, freeing many slots at one instant.
+                    k = rng.randint(1, 6) if small else rng.randint(8, 48)
+                    src, dst = rng.sample(nodes, 2)
+                    path = [L[f"tx{src}"], L[f"rx{dst}"]]
+                    size = rng.uniform(1.0, 40.0)
+                    for _i in range(k):
+                        start(path, size, rng.choice(self.LABELS))
+                elif roll < 0.55:
+                    if sum(f.persistent for f in live) < 3:
+                        src, dst = rng.sample(nodes, 2)
+                        start([L[f"tx{src}"], L[f"rx{dst}"]], None,
+                              rng.choice(self.LABELS))
+                elif roll < 0.75:
+                    src, mid, dst = rng.sample(nodes, 3)
+                    start([L[f"tx{src}"], L[f"rx{mid}"], L[f"rx{dst}"]],
+                          rng.uniform(1.0, 60.0), rng.choice(self.LABELS))
+                elif live:
+                    net.remove(rng.choice(live))
+
+        proc = env.process(driver())
+        env.run(until=1000.0)
+        net.settle()
+
+        assert proc.triggered and proc.ok
+        assert not mismatches
+        assert sizes["small"] and sizes["large"]
+        for f in created:
+            if f._slot < 0 and not f.persistent and f.done.ok:
+                assert f.remaining == 0.0
+            else:
+                assert f.remaining == oracle_rem[f]
+        for l in links:
+            want = {p: v for p, v in oracle_cb[l].items() if v != 0.0}
+            assert l.class_bytes == want
+            assert net.busy_time(l) == oracle_busy[l] / l.capacity
