@@ -65,7 +65,6 @@ from typing import Iterable
 
 import numpy as np
 
-from .fluid import _SCALAR_MAX
 from .kernel import Environment, Event, SimulationError
 
 __all__ = ["Link", "NetFlow", "FlowNetwork", "progressive_fill",
@@ -76,6 +75,9 @@ _PAD = -1            # padding value in per-flow link-slot rows
 _INIT_FLOW_SLOTS = 32
 _INIT_LINK_SLOTS = 16
 _INIT_PREFIXES = 4
+#: At or below this many live flows _settle runs a Python scalar loop;
+#: above it one creation-ordered np.add.at folds the class bytes.
+_SCALAR_MAX = 32
 
 
 class FlowNetStats:

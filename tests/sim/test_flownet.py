@@ -7,7 +7,7 @@ import pytest
 
 from repro.sim import Environment, FlowNetwork, SimulationError
 from repro.sim.flownet import progressive_fill
-from repro.sim.fluid import _SCALAR_MAX
+from repro.sim.flownet import _SCALAR_MAX
 
 
 def make_net(env, nodes=2, cap=100.0):
