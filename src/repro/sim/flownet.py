@@ -52,6 +52,16 @@ scalar loop over ``_live`` for small populations, ``np.add.at`` /
 loops produced, keeping trajectories bit-identical (see the summation
 invariant in DESIGN.md §11).
 
+Small populations are solved in plain Python.  Most fills cover two
+flows or fewer and over half cover none, so numpy's per-call overhead
+was most of their cost.  At or below ``_SCALAR_MAX`` flows,
+``_fill_vec`` runs progressive filling as loops over dicts keyed by link
+slot, and ``_flush`` runs its finish scan, horizon and sub-resolution
+drain as loops over ``_live``; above it the numpy code runs.  Both
+branches apply the same IEEE-754 operations to the same operands
+(min-reductions are exact in any order, used-rate sums run in creation
+order), so they agree bit for bit.
+
 Process-wide :data:`flownet_stats` counters expose solves, rounds and
 flows/links touched for the perf suite (``benchmarks/bench_perf_suite.py``).
 """
@@ -75,8 +85,9 @@ _PAD = -1            # padding value in per-flow link-slot rows
 _INIT_FLOW_SLOTS = 32
 _INIT_LINK_SLOTS = 16
 _INIT_PREFIXES = 4
-#: At or below this many live flows _settle runs a Python scalar loop;
-#: above it one creation-ordered np.add.at folds the class bytes.
+#: At or below this many flows (live flows for _settle and _flush, the
+#: component's flows for _fill_vec) the solver runs Python scalar loops;
+#: above it, numpy array ops.
 _SCALAR_MAX = 32
 
 
@@ -155,14 +166,6 @@ class Link:
         if s >= 0:
             return float(self._net._l_cap[s])
         return self._cap_s
-
-    @capacity.setter
-    def capacity(self, value: float) -> None:
-        s = self._slot
-        if s >= 0:
-            self._net._l_cap[s] = value
-        else:
-            self._cap_s = float(value)
 
     @property
     def _used_rate(self) -> float:
@@ -296,18 +299,7 @@ class NetFlow:
 
     @property
     def cap(self) -> float:
-        s = self._slot
-        if s >= 0:
-            return float(self._net._f_cap[s])
         return self._cap_s
-
-    @cap.setter
-    def cap(self, value: float) -> None:
-        s = self._slot
-        if s >= 0:
-            self._net._f_cap[s] = value
-        else:
-            self._cap_s = float(value)
 
     @property
     def _rate(self) -> float:
@@ -450,7 +442,6 @@ class FlowNetwork:
         self._f_pers = np.zeros(nf, dtype=bool)
         self._f_prefix = np.full(nf, -1, dtype=np.int32)
         self._f_links = np.full((nf, self._W), _PAD, dtype=np.int32)
-        self._f_deg = np.zeros(nf, dtype=np.int32)
         self._objs: list[NetFlow | None] = [None] * nf
         self._seqs: list[int] = [0] * nf
         self._free = list(range(nf - 1, -1, -1))
@@ -557,7 +548,7 @@ class FlowNetwork:
     def flows(self) -> tuple[NetFlow, ...]:
         if self._pending:
             self._flush()
-        return tuple(self._objs[s] for s in self._active())
+        return tuple(self._objs[s] for s in self._live)
 
     # -- batching -------------------------------------------------------------
     @contextmanager
@@ -641,20 +632,17 @@ class FlowNetwork:
             raise
         return flow
 
-    def busy_time(self, link: Link) -> float:
-        """Capacity-normalized busy integral of *link*."""
+    def busy_time(self, link: "Link | int") -> float:
+        """Capacity-normalized busy integral of *link* (a handle or slot)."""
+        s = self._resolve_slot(link)
         self._settle()
-        return float(self._l_busy[link._slot]) / float(self._l_cap[link._slot])
+        return float(self._l_busy[s]) / float(self._l_cap[s])
 
     def settle(self) -> None:
         """Bring byte integrals up to the current time (for probes)."""
         self._settle()
 
     # -- flow slot machinery ---------------------------------------------------
-    def _active(self) -> np.ndarray:
-        """Active flow slots in creation order."""
-        return np.asarray(self._live, dtype=np.intp)
-
     def _grow_flows(self) -> None:
         old = len(self._objs)
         new = old * 2
@@ -671,9 +659,6 @@ class FlowNetwork:
         rows = np.full((new, self._W), _PAD, dtype=np.int32)
         rows[:old] = self._f_links
         self._f_links = rows
-        deg = np.zeros(new, dtype=np.int32)
-        deg[:old] = self._f_deg
-        self._f_deg = deg
         self._objs.extend([None] * (new - old))
         self._seqs.extend([0] * (new - old))
         self._free.extend(range(new - 1, old - 1, -1))
@@ -713,7 +698,6 @@ class FlowNetwork:
         self._f_prefix[s] = flow._pidx
         self._f_links[s, :deg] = flow._lslots
         self._f_links[s, deg:] = _PAD
-        self._f_deg[s] = deg
         self._objs[s] = flow
         self._seqs[s] = flow._seq
         self._live.append(s)
@@ -725,7 +709,6 @@ class FlowNetwork:
         slot and it is reusable at once.
         """
         s = flow._slot
-        flow._cap_s = float(self._f_cap[s])
         flow._rem_s = float(self._f_rem[s])
         flow._rate_s = 0.0
         flow._slot = -1
@@ -804,23 +787,98 @@ class FlowNetwork:
         self._l_busy[:nl] += self._l_used[:nl] * dt
         self._last_update = now
 
-    def _fill_vec(self, fs: np.ndarray, ls: np.ndarray,
+    def _fill_vec(self, fs: list[int], ls: list[int],
                   stats: FlowNetStats) -> None:
-        """Vectorized progressive filling over one closed flow–link set.
+        """Progressive filling over one closed flow–link set.
 
         *fs* must be in creation (seq) order; *ls* order is free (only
         min-reductions and elementwise updates touch links, and the
-        per-link used-rate writeback accumulates in flow order via
-        bincount).  Computes the identical float sequence as the classic
-        per-object algorithm — see DESIGN.md §11.
+        per-link used-rate writeback accumulates in flow order).  Up to
+        ``_SCALAR_MAX`` flows the fill runs as Python loops over dicts
+        keyed by link slot, above that as numpy array ops; both compute
+        the identical float sequence as the classic per-object
+        algorithm — see DESIGN.md §11.  The e2ebench tracer times the
+        fill by this method's name, so both branches stay inline here.
         """
         nf = len(fs)
         nl = len(ls)
         stats.flows_touched += nf
         stats.links_touched += nl
+        l_used = self._l_used
         if nf == 0:
-            self._l_used[ls] = 0.0
+            for l in ls:
+                l_used[l] = 0.0
             return
+        if nf <= _SCALAR_MAX:
+            objs = self._objs
+            l_cap = self._l_cap
+            paths = []
+            caps = []
+            for s in fs:
+                flow = objs[s]
+                paths.append(flow._lslots)
+                caps.append(flow._cap_s)
+            avail = {}
+            sat_eps = {}
+            for l in ls:
+                c = l_cap.item(l)
+                avail[l] = c
+                sat_eps[l] = _EPS * (c if c > 1.0 else 1.0)
+            rates = [0.0] * nf
+            unf = range(nf)
+            guard = nf + nl + 2
+            while unf and guard > 0:
+                guard -= 1
+                stats.rounds += 1
+                counts: dict[int, int] = {}
+                for i in unf:
+                    for l in paths[i]:
+                        counts[l] = counts.get(l, 0) + 1
+                delta = math.inf
+                for l, n in counts.items():
+                    q = avail[l] / n
+                    if q < delta:
+                        delta = q
+                # A NaN headroom fails the comparison and is skipped,
+                # exactly as np.fmin skips it below.
+                for i in unf:
+                    h = caps[i] - rates[i]
+                    if h < delta:
+                        delta = h
+                if delta < 0:
+                    delta = 0.0
+                for i in unf:
+                    rates[i] += delta
+                saturated = set()
+                for l, n in counts.items():
+                    a = avail[l] - delta * n
+                    avail[l] = a
+                    if a <= sat_eps[l]:
+                        saturated.add(l)
+                still = []
+                for i in unf:
+                    if rates[i] >= caps[i] - _EPS:
+                        continue
+                    for l in paths[i]:
+                        if l in saturated:
+                            break
+                    else:
+                        still.append(i)
+                if len(still) == len(unf):
+                    stats.record_stalemate()
+                    break  # numerical stalemate; rates are already near-fair
+                unf = still
+            f_rate = self._f_rate
+            used = dict.fromkeys(ls, 0.0)
+            for s, path, r in zip(fs, paths, rates):
+                f_rate[s] = r
+                for l in path:
+                    used[l] += r
+            for l, u in used.items():
+                l_used[l] = u
+            return
+        fs = np.asarray(fs, dtype=np.int32)
+        ls = np.asarray(ls, dtype=np.int32)
         # Component-local link ids: the shared _loc scratch maps global
         # slots to 0..nl-1, and its trailing cell is the sentinel column
         # the _PAD entries resolve to.
@@ -861,15 +919,12 @@ class FlowNetwork:
         self._f_rate[fs] = rates
         # Per-link used-rate: bincount accumulates weights sequentially in
         # input order == flow creation order, matching the scalar loop.
-        self._l_used[ls] = np.bincount(
+        l_used[ls] = np.bincount(
             rows.ravel(), weights=np.repeat(rates, rows.shape[1]),
             minlength=nl + 1)[:nl]
 
-    def _solve(self, a: np.ndarray) -> None:
-        """Re-fill the dirty components (or everything, per solver mode).
-
-        *a* is the active flow slots in creation order.
-        """
+    def _solve(self) -> None:
+        """Re-fill the dirty components (or everything, per solver mode)."""
         stats = flownet_stats
         if self.solver == "reference":
             # The verbatim pre-PR solver: one coupled dict-based fill over
@@ -877,11 +932,12 @@ class FlowNetwork:
             # fill below whenever the round-delta schedule coincides — the
             # golden tests and the perf suite assert trajectory identity
             # on the tracked scenarios.)
+            live = self._live
             stats.full_solves += 1
-            stats.flows_touched += len(a)
+            stats.flows_touched += len(live)
             stats.links_touched += self._nl
             self._dirty.clear()
-            progressive_fill([self._objs[s] for s in a],
+            progressive_fill([self._objs[s] for s in live],
                              [self._materialize(i)
                               for i in range(self._nl)])
             return
@@ -890,8 +946,7 @@ class FlowNetwork:
         todo = list(self._dirty)
         self._dirty.clear()
         flows_of = self._flows_of
-        f_links = self._f_links
-        f_deg = self._f_deg
+        objs = self._objs
         seqs = self._seqs
         seen: set[int] = set()
         for seed in todo:
@@ -909,9 +964,7 @@ class FlowNetwork:
                     if fslot not in seen_flows:
                         seen_flows.add(fslot)
                         comp_flows.append(fslot)
-                        row = f_links[fslot]
-                        for k in range(f_deg[fslot]):
-                            lj = int(row[k])
+                        for lj in objs[fslot]._lslots:
                             if lj not in seen:
                                 seen.add(lj)
                                 comp_links.append(lj)
@@ -920,11 +973,16 @@ class FlowNetwork:
             # iteration, and the float sum behind each link's used_rate
             # must be run-to-run and mode-to-mode deterministic.
             comp_flows.sort(key=seqs.__getitem__)
-            self._fill_vec(np.asarray(comp_flows, dtype=np.int32),
-                           np.asarray(comp_links, dtype=np.int32), stats)
+            self._fill_vec(comp_flows, comp_links, stats)
 
     def _flush(self) -> None:
-        """Coalesced settle + solve + completion drain + wakeup."""
+        """Coalesced settle + solve + completion drain + wakeup.
+
+        Up to ``_SCALAR_MAX`` live flows the finish scan, the horizon
+        and the sub-resolution drain are Python loops over ``_live``;
+        above that, numpy masks.  Persistent flows hold remaining ==
+        inf, so no scalar loop can select them.
+        """
         self._pending = False
         stats = flownet_stats
         stats.solves += 1
@@ -938,34 +996,49 @@ class FlowNetwork:
         min_dt = max(math.nextafter(now, math.inf) - now, 1e-12)
         dirty = self._dirty
         flows_of = self._flows_of
+        f_rem, f_rate = self._f_rem, self._f_rate
         while True:
-            a = self._active()
-            if len(a):
-                fin = ~self._f_pers[a] & (self._f_rem[a] <= _EPS)
-                if fin.any():
-                    for s in a[fin]:  # creation order, like the old scan
-                        flow = self._objs[s]
-                        si = int(s)
-                        for ls in flow._lslots:
-                            flows_of[ls].discard(si)
-                            dirty.add(ls)
-                        self._detach(flow)
-                        flow._rem_s = 0.0
-                        flow.finished_at = now
-                        flow.done.succeed(flow)
-                    a = self._active()
-            self._solve(a)
+            live = self._live
+            if len(live) <= _SCALAR_MAX:
+                done = [s for s in live if f_rem.item(s) <= _EPS]
+            else:
+                a = np.asarray(live, dtype=np.intp)
+                done = a[~self._f_pers[a] & (f_rem[a] <= _EPS)].tolist()
+            for s in done:  # creation order
+                flow = self._objs[s]
+                for ls in flow._lslots:
+                    flows_of[ls].discard(s)
+                    dirty.add(ls)
+                self._detach(flow)
+                flow._rem_s = 0.0
+                flow.finished_at = now
+                flow.done.succeed(flow)
+            self._solve()
             horizon = math.inf
-            if len(a):
-                rate_a = self._f_rate[a]
+            if len(live) <= _SCALAR_MAX:
+                for s in live:
+                    r = f_rate.item(s)
+                    if r > 0:
+                        h = f_rem.item(s) / r
+                        if h < horizon:
+                            horizon = h
+                if horizon < min_dt:
+                    # Sub-resolution completions: drain them at the
+                    # current instant.
+                    for s in live:
+                        r = f_rate.item(s)
+                        if r > 0 and f_rem.item(s) / r < min_dt:
+                            f_rem[s] = 0.0
+                    continue
+            else:
+                a = np.asarray(live, dtype=np.intp)
+                rate_a = f_rate[a]
                 m = (rate_a > 0) & ~self._f_pers[a]
                 if m.any():
-                    h = self._f_rem[a[m]] / rate_a[m]
+                    h = f_rem[a[m]] / rate_a[m]
                     horizon = float(h.min())
                     if horizon < min_dt:
-                        # Sub-resolution completions: drain them at the
-                        # current instant.
-                        self._f_rem[a[m][h < min_dt]] = 0.0
+                        f_rem[a[m][h < min_dt]] = 0.0
                         continue
             break
         cb = self._wakeup_cb

@@ -32,8 +32,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .kernel import Environment, Event, SimulationError
 
 __all__ = ["Flow", "FluidResource", "maxmin_allocate"]
@@ -83,8 +81,8 @@ def _equal_share(capacity: float, n: int):
     allocation depends only on ``(capacity, n)``, so the exact rate list
     the general routine produces — including its sequential
     ``remaining / (n - pos)`` float schedule — is computed once and
-    reused.  Returns ``(rates, rates_arr, used)``; callers must treat
-    all three as immutable.
+    reused.  Returns ``(rates, used)``; callers must treat both as
+    immutable.
     """
     key = (capacity, n)
     hit = _share_cache.get(key)
@@ -95,7 +93,7 @@ def _equal_share(capacity: float, n: int):
         used = 0.0
         for r in rates:
             used += r
-        hit = (rates, np.asarray(rates), used)
+        hit = (rates, used)
         _share_cache[key] = hit
     return hit
 
@@ -301,7 +299,7 @@ class FluidResource:
                     f.finished_at = now
                     f.done.succeed(f)
             if self._capped == 0:
-                rates, _arr, used = _equal_share(self.capacity, len(live))
+                rates, used = _equal_share(self.capacity, len(live))
             else:
                 rates = maxmin_allocate(self.capacity,
                                         [f._cap for f in live])

@@ -2,11 +2,15 @@
 
 import math
 import random
+import warnings
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sim import Environment, FlowNetwork, SimulationError
-from repro.sim.flownet import progressive_fill
+from repro.sim import Environment, FlowNetwork, SimulationError, flownet
+from repro.sim.flownet import FlowNetStats, progressive_fill
 from repro.sim.flownet import _SCALAR_MAX
 
 
@@ -153,6 +157,40 @@ class TestFlowNetworkDynamics:
         env.process(killer())
         env.run()
         assert len(net.flows) == 0
+
+    def test_busy_time_accepts_lean_slot(self):
+        env = Environment()
+        net = FlowNetwork(env)
+        tx = net.add_link_lean("tx", 100.0)
+        rx = net.add_link("rx", 100.0)
+        f = net.transfer([tx, rx], 500.0, cap=50.0)
+        env.run(until=f.done)
+        assert net.busy_time(tx) == pytest.approx(5.0)
+        assert net.busy_time(tx) == net.busy_time(rx)
+        with pytest.raises(SimulationError):
+            net.busy_time(2)
+
+    def test_busy_time_rejects_foreign_link(self):
+        env = Environment()
+        net1, L1 = make_net(env)
+        net2, L2 = make_net(env)
+        f = net1.transfer([L1["tx0"], L1["rx1"]], 500.0)
+        env.run(until=f.done)
+        assert net1.busy_time(L1["tx0"]) == pytest.approx(5.0)
+        with pytest.raises(SimulationError):
+            net1.busy_time(L2["tx0"])
+
+    def test_cap_and_capacity_are_read_only(self):
+        env = Environment()
+        net, L = make_net(env)
+        f = net.transfer([L["tx0"], L["rx1"]], 1e6, cap=40.0)
+        with pytest.raises(AttributeError):
+            f.cap = 80.0
+        with pytest.raises(AttributeError):
+            L["tx0"].capacity = 10.0
+        assert (f.cap, L["tx0"].capacity, f.rate) == (40.0, 100.0, 40.0)
+        net.set_capacity(L["tx0"], 10.0)
+        assert (L["tx0"].capacity, f.rate) == (10.0, 10.0)
 
     def test_duplicate_link_rejected(self):
         env = Environment()
@@ -310,3 +348,97 @@ class TestSettleAccountingExact:
             want = {p: v for p, v in oracle_cb[l].items() if v != 0.0}
             assert l.class_bytes == want
             assert net.busy_time(l) == oracle_busy[l] / l.capacity
+
+
+# Link capacities include values at and just above _EPS, which saturate
+# in the first round; flow caps repeat, so equal caps fix together.
+_fill_link_cap = st.sampled_from([5e-10, 1e-9, 3e-9, 1.0, 7.3, 97.0, 1e3])
+_fill_flow = st.tuples(
+    st.booleans(),                                # 3-hop path
+    st.integers(0, 5), st.integers(0, 5), st.integers(0, 5),
+    st.one_of(st.none(), st.just(100.0)),         # persistent or finite
+    st.one_of(st.just(math.inf),
+              st.sampled_from([1e-9, 0.5, 2.5, 40.0]),
+              st.floats(min_value=1e-3, max_value=1e3)),
+)
+
+
+def _both_branches(fn):
+    """``fn()`` with ``_SCALAR_MAX`` forcing numpy, then scalar."""
+    out = []
+    for limit in (0, 10**9):
+        with mock.patch.object(flownet, "_SCALAR_MAX", limit), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            out.append(fn())
+    return out
+
+
+class TestFillBranchesExact:
+    """The scalar and numpy branches of ``_fill_vec`` and ``_flush``
+    compute the same floats, compared with ``==``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n_nodes=st.integers(2, 6),
+           link_caps=st.lists(_fill_link_cap, min_size=12, max_size=12),
+           flows=st.lists(_fill_flow, max_size=64))
+    def test_fill_branches_agree(self, n_nodes, link_caps, flows):
+        env = Environment()
+        net = FlowNetwork(env)
+        tx = [net.add_link_lean(f"tx{i}", link_caps[2 * i])
+              for i in range(n_nodes)]
+        rx = [net.add_link_lean(f"rx{i}", link_caps[2 * i + 1])
+              for i in range(n_nodes)]
+        for hop3, src, mid, dst, work, cap in flows:
+            path = [tx[src % n_nodes], rx[dst % n_nodes]]
+            if hop3:
+                path.insert(1, rx[mid % n_nodes])
+            net.transfer(path, work, cap=cap)
+        # Never flushed: the fill below is the only solve.
+        fs = list(net._live)
+        ls = list(range(net._nl))
+
+        def fill():
+            net._f_rate[:] = -1.0
+            net._l_used[:] = -1.0
+            stats = FlowNetStats()
+            net._fill_vec(fs, ls, stats)
+            return (net._f_rate[fs].tolist(), net._l_used[ls].tolist(),
+                    stats.rounds, stats.stalemates)
+
+        vec, scalar = _both_branches(fill)
+        assert scalar == vec
+        # Every entry was overwritten, zero-flow components included.
+        assert min(scalar[0] + scalar[1]) >= 0.0
+
+    def test_flush_sub_resolution_drain_agrees(self):
+        def flush():
+            env = Environment()
+            env.run(until=1e9)
+            net, L = make_net(env, nodes=4)
+            flows = [
+                net.transfer([L["tx0"], L["rx1"]], 1e-6),
+                net.transfer([L["tx0"], L["rx1"]], 1e-6, cap=60.0),
+                net.transfer([L["tx0"], L["rx2"]], 5e3),
+                net.transfer([L["tx1"], L["rx2"]], None),
+                net.transfer([L["tx2"], L["rx3"], L["rx0"]], 2e3, cap=7.5),
+                net.transfer([L["tx3"], L["rx0"]], 1e-6, cap=0.5),
+                net.transfer([L["tx3"], L["rx1"]], 40.0),
+            ]
+            before = flownet.flownet_stats.snapshot()
+            net._flush()
+            after = flownet.flownet_stats.snapshot()
+            wake = [t for t, _c, cb in env._queue if cb is net._wakeup_cb]
+            return ([(f._slot >= 0, f.remaining, f._rate, f.finished_at,
+                      f.done.triggered) for f in flows],
+                    net._l_used[:net._nl].tolist(), wake,
+                    {k: after[k] - before[k] for k in after})
+
+        vec, scalar = _both_branches(flush)
+        assert scalar == vec
+        finished = [f for f in scalar[0] if f[3] is not None]
+        # The two 1e-6-byte flows sharing tx0 need about 3e-8 s, below
+        # the clock's resolution at 1e9 s (about 1.2e-7 s), so they drain
+        # and finish at this instant; the one capped at 0.5 needs 2e-6 s.
+        assert len(finished) == 2 and all(f[3] == 1e9 for f in finished)
+        assert scalar[2] and scalar[2][0] > 1e9
