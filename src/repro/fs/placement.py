@@ -81,6 +81,14 @@ _POLICY_CACHE_SIZE = 128
 _PLAN_CACHE_SIZE = 64
 
 
+def _policy_token(family: HashFamily,
+                  classes: Mapping[str, "ClassSpec"]) -> tuple:
+    """Intern-cache key of a policy snapshot."""
+    return (family.name,
+            tuple((c, float(spec.weight), spec.nodes)
+                  for c, spec in classes.items()))
+
+
 def clear_placement_caches() -> None:
     """Drop interned policies, cached plans, and digest arrays (tests and
     cold-path benchmarks)."""
@@ -181,18 +189,23 @@ class StripePlan:
     def chain(self, i: int, k: int | None = None) -> list[str]:
         """Replica / lazy-lookup chain of key *i*: nodes of the winning
         class by descending HRW score, spilling into the next-ranked class
-        (paper §III-E) — identical to ``policy.ranked(keys[i], k)``."""
+        (paper §III-E) — identical to ``policy.ranked(keys[i], k)``.
+        Only the first *k* ranks are converted, so a chain costs O(k)."""
         if k == 1:
             return [self._primaries[i]]
         self._ensure_orders()
+        policy = self.policy
         out: list[str] = []
-        for ci in self._class_order[i]:
-            cname = self.policy._ne_classes[int(ci)]
-            nodes = self.policy._layer2[cname].nodes
-            out.extend(nodes[j] for j in self._node_orders[cname][i])
+        for ci in self._class_order[i].tolist():
+            cname = policy._ne_classes[ci]
+            nodes = policy._layer2[cname].nodes
+            row = self._node_orders[cname][i]
+            if k is not None:
+                row = row[:k - len(out)]
+            out.extend([nodes[j] for j in row.tolist()])
             if k is not None and len(out) >= k:
-                return out[:k]
-        return out if k is None else out[:k]
+                return out
+        return out
 
 
 @dataclass(frozen=True)
@@ -595,13 +608,22 @@ class PlacementMap:
         return weights, members
 
     def _intern_token(self) -> tuple:
-        return (self.family.name,
-                tuple((c, float(spec.weight), spec.nodes)
-                      for c, spec in self._classes.items()))
+        return _policy_token(self.family, self._classes)
+
+    @staticmethod
+    def _intern_get(token: tuple) -> "PlacementMap | None":
+        """The interned policy for *token* (counted as a hit), or None."""
+        cached = _POLICY_CACHE.get(token)
+        if cached is not None:
+            _POLICY_CACHE.move_to_end(token)
+            planner_stats.policy_hits += 1
+        return cached
 
     @classmethod
     def _intern_put(cls, token: tuple,
                     policy: "PlacementMap") -> "PlacementMap":
+        """Intern *policy* under *token* (counted as a miss)."""
+        planner_stats.policy_misses += 1
         _POLICY_CACHE[token] = policy
         while len(_POLICY_CACHE) > _POLICY_CACHE_SIZE:
             _POLICY_CACHE.popitem(last=False)
@@ -616,12 +638,9 @@ class PlacementMap:
         it the per-policy plan cache.
         """
         token = policy._intern_token()
-        cached = _POLICY_CACHE.get(token)
+        cached = cls._intern_get(token)
         if cached is not None:
-            _POLICY_CACHE.move_to_end(token)
-            planner_stats.policy_hits += 1
             return cached
-        planner_stats.policy_misses += 1
         return cls._intern_put(token, policy)
 
     @classmethod
@@ -638,12 +657,9 @@ class PlacementMap:
                  tuple((name, float(meta.class_weights[name]),
                         tuple(meta.class_members[name]))
                        for name in meta.class_weights))
-        cached = _POLICY_CACHE.get(token)
+        cached = cls._intern_get(token)
         if cached is not None:
-            _POLICY_CACHE.move_to_end(token)
-            planner_stats.policy_hits += 1
             return cached
-        planner_stats.policy_misses += 1
         classes = {name: ClassSpec(meta.class_weights[name],
                                    tuple(meta.class_members[name]))
                    for name in meta.class_weights}
@@ -677,6 +693,31 @@ class PlacementMap:
         if not found:
             raise KeyError(node)
         return PlacementMap(classes, self.family)
+
+    def without_nodes(self, drop) -> "PlacementMap":
+        """The interned policy without every node in *drop* (a container;
+        names this policy lacks are ignored).
+
+        Equal to ``PlacementMap.intern`` of chained :meth:`without_node`
+        calls, counters included, but the restricted snapshot is looked
+        up before anything is built: hashers are built only on an intern
+        miss.  Raises ValueError when no node is left.
+        """
+        classes = {}
+        dropped = False
+        for cname, spec in self._classes.items():
+            rest = tuple(n for n in spec.nodes if n not in drop)
+            if len(rest) != len(spec.nodes):
+                dropped = True
+                spec = ClassSpec(spec.weight, rest)
+            classes[cname] = spec
+        if not dropped:
+            return PlacementMap.intern(self)
+        token = _policy_token(self.family, classes)
+        cached = self._intern_get(token)
+        if cached is not None:
+            return cached
+        return self._intern_put(token, PlacementMap(classes, self.family))
 
     def reweighted(self, weights: dict[str, float]) -> "PlacementMap":
         classes = {c: ClassSpec(weights.get(c, spec.weight), spec.nodes)

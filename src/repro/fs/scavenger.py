@@ -153,11 +153,10 @@ class _StripeMover:
                      leaving=()) -> PlacementMap:
         """*policy* restricted to nodes that can receive data: up, and
         not in *leaving*."""
-        out = policy
-        for n in policy.all_nodes:
-            if n in leaving or n not in self.fs.servers:
-                out = out.without_node(n)
-        return PlacementMap.intern(out)
+        servers = self.fs.servers
+        return policy.without_nodes(
+            {n for n in policy.all_nodes
+             if n in leaving or n not in servers})
 
     def _rewrite_meta(self, client, path: str, meta: FileMeta,
                       members=None, weights=None, drop: str | None = None):
@@ -426,8 +425,7 @@ class ScavengingManager(_StripeMover):
         fault_stats.evacuations += 1
         # 1. Stop placing new data on the node (before queueing).
         if name in self.fs.policy.all_nodes:
-            self.fs.policy = PlacementMap.intern(
-                self.fs.policy.without_node(name))
+            self.fs.policy = self.fs.policy.without_nodes((name,))
         try:
             moved = yield from self._evac_lock.hold(self._drain(node, server))
         finally:
@@ -616,8 +614,7 @@ class ScavengingManager(_StripeMover):
         self.fs.servers.pop(name, None)
         self.fs.domains.pop(name, None)
         if name in self.fs.policy.all_nodes:
-            self.fs.policy = PlacementMap.intern(
-                self.fs.policy.without_node(name))
+            self.fs.policy = self.fs.policy.without_nodes((name,))
         lease = self.leases.pop(name, None)
         if lease is not None and lease.active:
             # Wakes the watcher; its evacuate() no-ops (no server left).

@@ -221,22 +221,20 @@ class HrwHasher:
     def __init__(self, nodes: Iterable[Hashable],
                  family: str | HashFamily = MIX64):
         self.family = get_family(family)
-        self._nodes: list[Hashable] = []
-        self._seeds: list[int] = []
+        self._nodes: tuple[Hashable, ...] = tuple(nodes)
         seen = set()
-        for n in nodes:
+        for n in self._nodes:
             if n in seen:
                 raise ValueError(f"duplicate node {n!r}")
             seen.add(n)
-            self._nodes.append(n)
-            self._seeds.append(stable_digest(n))
         if not self._nodes:
             raise ValueError("HrwHasher needs at least one node")
+        self._seeds: list[int] = [stable_digest(n) for n in self._nodes]
         self._seed_arr = np.asarray(self._seeds, dtype=np.uint64)
 
     @property
     def nodes(self) -> tuple[Hashable, ...]:
-        return tuple(self._nodes)
+        return self._nodes
 
     def scores_digest(self, digest: int) -> list[int]:
         """Per-node scores of an already-digested key (digest computed once

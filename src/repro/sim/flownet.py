@@ -426,6 +426,9 @@ class FlowNetwork:
         self._l_cap = np.zeros(nl)
         self._l_used = np.zeros(nl)
         self._l_busy = np.zeros(nl)
+        #: link slot -> capacity-normalized busy time accrued before the
+        #: link's last capacity change (``_l_busy`` restarts there)
+        self._busy_fold: dict[int, float] = {}
         #: class-byte accumulator [link slot, interned prefix]
         self._class_acc = np.zeros((nl, _INIT_PREFIXES))
         self._prefixes: list[str] = []
@@ -525,7 +528,13 @@ class FlowNetwork:
                 f"link {link.name!r}: capacity must be positive")
         s = self._resolve_slot(link)
         self._settle()
-        self._l_cap[s] = float(capacity)
+        capacity = float(capacity)
+        old = float(self._l_cap[s])
+        if capacity != old:
+            self._busy_fold[s] = (self._busy_fold.get(s, 0.0)
+                                  + float(self._l_busy[s]) / old)
+            self._l_busy[s] = 0.0
+        self._l_cap[s] = capacity
         self._mark((s,))
 
     def _resolve_slot(self, link: "Link | int") -> int:
@@ -633,10 +642,12 @@ class FlowNetwork:
         return flow
 
     def busy_time(self, link: "Link | int") -> float:
-        """Capacity-normalized busy integral of *link* (a handle or slot)."""
+        """Capacity-normalized busy integral of *link* (a handle or slot),
+        each span normalized by the capacity in force during it."""
         s = self._resolve_slot(link)
         self._settle()
-        return float(self._l_busy[s]) / float(self._l_cap[s])
+        return (self._busy_fold.get(s, 0.0)
+                + float(self._l_busy[s]) / float(self._l_cap[s]))
 
     def settle(self) -> None:
         """Bring byte integrals up to the current time (for probes)."""

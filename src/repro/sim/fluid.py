@@ -24,7 +24,9 @@ settle and rebalance are single scalar loops over that list: settle drains
 ``remaining -= rate*dt`` (clamped at zero, persistent flows skipped), and
 rebalance finishes drained flows, allocates with :func:`maxmin_allocate`
 (or the memoized ``_equal_share`` when no flow is capped), sums the rates
-left to right and takes the horizon.  Every float is computed in creation
+left to right and takes the horizon.  A lone flow, the common case, skips
+the allocator: its rate is ``min(cap, capacity)``, which is what both
+allocators return for one flow.  Every float is computed in creation
 order, the summation invariant of DESIGN.md §11.
 """
 
@@ -166,8 +168,11 @@ class FluidResource:
         # (a fired slot may already belong to another scheduler).
         self._wakeup_fn = self._wakeup
         self._wakeup_cb = None
-        # Integral of used rate over time, for utilization accounting.
+        # Integral of used rate over time since the last capacity change,
+        # for utilization accounting; busy time accrued under earlier
+        # capacities is folded into _busy_folded at each change.
         self._busy_integral = 0.0
+        self._busy_folded = 0.0
         # Total allocated rate, kept current by _rebalance as the
         # sequential creation-order sum of the rates.
         self._used_now = 0.0
@@ -188,9 +193,10 @@ class FluidResource:
         return self._used_now / self.capacity
 
     def busy_time(self) -> float:
-        """Capacity-normalized busy integral: ∫ used/capacity dt."""
+        """Capacity-normalized busy integral: ∫ used/capacity dt, each
+        span normalized by the capacity in force during it."""
         self._settle()
-        return self._busy_integral / self.capacity
+        return self._busy_folded + self._busy_integral / self.capacity
 
     def submit(self, work: float | None, cap: float = math.inf,
                label: str = "") -> Flow:
@@ -230,7 +236,11 @@ class FluidResource:
         if capacity <= 0:
             raise SimulationError(f"capacity must be positive, got {capacity}")
         self._settle()
-        self.capacity = float(capacity)
+        capacity = float(capacity)
+        if capacity != self.capacity:
+            self._busy_folded += self._busy_integral / self.capacity
+            self._busy_integral = 0.0
+        self.capacity = capacity
         self._rebalance()
 
     def adjust_cap(self, flow: Flow, cap: float) -> None:
@@ -286,6 +296,34 @@ class FluidResource:
         min_dt = max(math.nextafter(now, math.inf) - now, 1e-12)
         while True:
             live = self._live
+            if len(live) == 1:
+                # A lone flow gets min(cap, capacity) — bit for bit what
+                # maxmin_allocate and _equal_share return for one flow —
+                # and its rate is the whole used sum (0.0 + r == r).
+                f = live[0]
+                if f.remaining <= _EPS:
+                    self._live = []
+                    if f._cap != math.inf:
+                        self._capped -= 1
+                    f.remaining = 0.0
+                    f.rate = 0.0
+                    f.finished_at = now
+                    f.done.succeed(f)
+                    self._used_now = 0.0
+                    horizon = math.inf
+                    break
+                cap = f._cap
+                capacity = self.capacity
+                r = cap if cap < capacity else capacity
+                f.rate = r
+                self._used_now = r
+                # inf / inf is NaN; like the general scan, it sets no horizon.
+                h = f.remaining / r
+                horizon = h if h < math.inf else math.inf
+                if horizon < min_dt:
+                    f.remaining = 0.0
+                    continue
+                break
             # Persistent flows hold remaining == inf, so neither the finish
             # scan nor the horizon below can select them.
             done = [f for f in live if f.remaining <= _EPS]

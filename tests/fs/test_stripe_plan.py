@@ -8,6 +8,8 @@ modulus starves the class entirely) and for degenerate single-node
 classes.  Hypothesis drives both hash families through random policies.
 """
 
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.fs import (ClassSpec, FileMeta, PlacementMap, StripePlan,
                       planner_stats, stripe_digest_array, stripe_key)
+from repro.fs import placement
 from repro.fs.placement import clear_placement_caches
 from repro.hashing import MIX64, TR98, own_victim_weights, stable_digest
 from repro.hashing.hrw import get_family
@@ -23,13 +26,14 @@ FAMILIES = ("mix64", "tr98")
 
 
 @st.composite
-def policies(draw):
-    """Random two-layer policies: 1-3 classes, 0-4 nodes each (at least one
-    node overall), weights spanning [0, modulus] including both endpoints."""
+def policies(draw, max_nodes=4):
+    """Random two-layer policies: 1-3 classes, 0-*max_nodes* nodes each (at
+    least one node overall), weights spanning [0, modulus] including both
+    endpoints."""
     family = draw(st.sampled_from(FAMILIES))
     modulus = get_family(family).modulus
     n_classes = draw(st.integers(1, 3))
-    sizes = draw(st.lists(st.integers(0, 4),
+    sizes = draw(st.lists(st.integers(0, max_nodes),
                           min_size=n_classes, max_size=n_classes))
     assume(any(sizes))
     classes = {}
@@ -58,14 +62,20 @@ class TestPlanEquivalence:
         assert [plan.class_of(i) for i in range(n)] == \
             [policy.class_of(k) for k in keys]
 
-    @given(policies(), st.integers(0, 2**32), st.integers(1, 16),
-           st.integers(1, 6))
+    @given(policies(max_nodes=40), st.integers(0, 2**32),
+           st.integers(1, 16), st.data())
     @settings(max_examples=60, deadline=None)
-    def test_chain_matches_ranked_prefix(self, policy, inode, n, k):
+    def test_chain_matches_ranked_prefix(self, policy, inode, n, data):
+        """Prefixes from empty to past the node count: the slice stops
+        inside a class or spills across classes."""
         keys = keys_for(inode, n)
         plan = policy.plan(keys)
+        ks = data.draw(st.lists(
+            st.integers(0, len(policy.all_nodes) + 2), min_size=1,
+            max_size=4))
         for i, key in enumerate(keys):
-            assert plan.chain(i, k) == policy.ranked(key, k=k)
+            for k in ks:
+                assert plan.chain(i, k) == policy.ranked(key, k=k)
             assert plan.chain(i) == policy.ranked(key)
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -181,6 +191,101 @@ class TestPolicyInterning:
         assert after["policy_hits"] == before["policy_hits"] + 1
         assert after["plan_hits"] == before["plan_hits"] + 1
         assert after["stripes_resolved"] >= before["stripes_resolved"] + 20
+
+
+def _chained_without_node(policy, drop):
+    """The restriction as call sites spelled it before ``without_nodes``:
+    one ``without_node`` per dropped node, then one intern."""
+    out = policy
+    for n in policy.all_nodes:
+        if n in drop:
+            out = out.without_node(n)
+    return PlacementMap.intern(out)
+
+
+def _cache_state():
+    return (OrderedDict(placement._POLICY_CACHE), planner_stats.snapshot())
+
+
+def _restore(state):
+    cache, stats = state
+    placement._POLICY_CACHE.clear()
+    placement._POLICY_CACHE.update(cache)
+    for name, value in stats.items():
+        setattr(planner_stats, name, value)
+
+
+def _restrict(fn, policy, drop):
+    """(result or ValueError text, counter deltas, cache contents)."""
+    before = planner_stats.snapshot()
+    try:
+        out = fn(policy, drop)
+    except ValueError as exc:
+        out = f"ValueError: {exc}"
+    after = planner_stats.snapshot()
+    deltas = {k: after[k] - before[k] for k in after}
+    return out, deltas, list(placement._POLICY_CACHE.items())
+
+
+class TestWithoutNodes:
+    """``without_nodes`` ≡ interned chained ``without_node`` calls."""
+
+    @given(policies(max_nodes=8), st.data(),
+           st.sampled_from([0, 3, placement._POLICY_CACHE_SIZE - 1,
+                            placement._POLICY_CACHE_SIZE]),
+           st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_chained_without_node(self, policy, data, filler,
+                                          warm):
+        nodes = policy.all_nodes
+        drop = data.draw(st.sets(st.sampled_from(nodes + ("stranger",))))
+        clear_placement_caches()
+        if warm:
+            try:
+                _chained_without_node(policy, drop)
+            except ValueError:
+                pass
+        # Interned after the warm entry, so a hit must move it to the end
+        # and a full cache must evict on a miss.
+        for i in range(filler):
+            PlacementMap.intern(PlacementMap({"f": ClassSpec(0.0,
+                                                             (f"f{i}",))}))
+        state = _cache_state()
+        old, old_deltas, old_cache = _restrict(_chained_without_node,
+                                               policy, drop)
+        _restore(state)
+        new, new_deltas, new_cache = _restrict(
+            lambda p, d: p.without_nodes(d), policy, drop)
+        assert new_deltas == old_deltas
+        assert [k for k, _ in new_cache] == [k for k, _ in old_cache]
+        if isinstance(old, str):
+            assert new == old
+            assert new_cache == old_cache
+            return
+        if old_deltas["policy_hits"]:
+            assert new is old
+            assert all(a is b for (_, a), (_, b) in zip(new_cache,
+                                                        old_cache))
+        else:
+            # Both built a fresh instance; the helper's is now canonical.
+            assert new._intern_token() == old._intern_token()
+            assert _chained_without_node(policy, drop) is new
+        assert not set(new.all_nodes) & drop
+
+    def test_dropping_every_node_raises(self):
+        policy = PlacementMap({"a": ClassSpec(0.0, ("x",)),
+                               "b": ClassSpec(1.0, ("y", "z"))})
+        with pytest.raises(ValueError, match="at least one class"):
+            policy.without_nodes({"x", "y", "z"})
+
+    def test_nothing_dropped_interns_self(self):
+        clear_placement_caches()
+        policy = PlacementMap({"a": ClassSpec(0.0, ("x", "y"))})
+        assert policy.without_nodes({"zz"}) is policy
+        assert PlacementMap.intern(
+            PlacementMap({"a": ClassSpec(0.0, ("x", "y"))})) is policy
+        assert planner_stats.policy_misses == 1
+        assert planner_stats.policy_hits == 1
 
 
 class TestPlanFile:

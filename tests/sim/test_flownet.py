@@ -158,6 +158,26 @@ class TestFlowNetworkDynamics:
         env.run()
         assert len(net.flows) == 0
 
+    def test_busy_time_keeps_past_load_across_capacity_change(self):
+        """A re-cap normalizes only the load carried after it."""
+        env = Environment()
+        net = FlowNetwork(env)
+        tx = net.add_link("tx", 10.0)
+        rx = net.add_link_lean("rx", 10.0)
+        f = net.transfer([tx, rx], 10.0)
+        env.run(until=f.done)
+        assert env.now == 1.0
+        env.run(until=2.0)
+        assert net.busy_time(tx) == 1.0
+        net.set_capacity(tx, 20.0)
+        net.set_capacity(rx, 10.0)  # unchanged capacity: nothing folds
+        env.run(until=5.0)
+        assert net.busy_time(tx) == 1.0
+        assert net.busy_time(rx) == 1.0
+        g = net.transfer([tx], 20.0)  # 1 s at 20/s on tx
+        env.run(until=g.done)
+        assert net.busy_time(tx) == 2.0
+
     def test_busy_time_accepts_lean_slot(self):
         env = Environment()
         net = FlowNetwork(env)

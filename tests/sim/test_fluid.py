@@ -171,6 +171,22 @@ class TestFluidResource:
         assert env.now == pytest.approx(10.0)
         assert res.busy_time() == pytest.approx(5.0)  # 0.5 util * 10 s
 
+    def test_busy_time_keeps_past_load_across_capacity_change(self):
+        """A re-cap normalizes only the load carried after it."""
+        env = Environment()
+        res = FluidResource(env, capacity=10.0)
+        flow = res.submit(work=10.0)
+        env.run(until=flow.done)
+        assert env.now == 1.0
+        env.run(until=2.0)
+        assert res.busy_time() == 1.0
+        res.adjust_capacity(20.0)
+        env.run(until=4.0)
+        assert res.busy_time() == 1.0
+        flow = res.submit(work=20.0)  # 1 s at the new capacity
+        env.run(until=flow.done)
+        assert res.busy_time() == 2.0
+
     def test_consume_helper(self):
         env = Environment()
         res = FluidResource(env, capacity=4.0)
@@ -261,7 +277,8 @@ class _Oracle:
     flows in creation order, allocates with :func:`maxmin_allocate`, sums
     the rates left to right and drains sub-resolution completions at the
     current instant.  Its single pending wakeup fires at ``now + horizon``
-    exactly as the kernel computes it.
+    exactly as the kernel computes it.  A capacity change folds the busy
+    integral so far, normalized by the old capacity, into ``busy_fold``.
     """
 
     def __init__(self, now, capacity):
@@ -269,11 +286,13 @@ class _Oracle:
         self.capacity = capacity
         self.live = []
         self.busy = 0.0
+        self.busy_fold = 0.0
         self.used = 0.0
         self.wake = None
         self.max_live = 0
         self.max_burst = 0        # most flows finished by one scan
         self.sub_resolution = 0   # rebalances that drained below min_dt
+        self.lone = 0             # rebalance rounds that saw one live flow
 
     def advance(self, t):
         while self.wake is not None and self.wake <= t:
@@ -296,6 +315,8 @@ class _Oracle:
         now = self.now
         min_dt = max(math.nextafter(now, math.inf) - now, 1e-12)
         while True:
+            if len(self.live) == 1:
+                self.lone += 1
             done = [f for f in self.live
                     if not f.persistent and f.remaining <= 1e-9]
             self.max_burst = max(self.max_burst, len(done))
@@ -345,8 +366,15 @@ class _Oracle:
 
     def adjust_capacity(self, capacity):
         self.settle()
+        if capacity != self.capacity:
+            self.busy_fold += self.busy / self.capacity
+            self.busy = 0.0
         self.capacity = capacity
         self.rebalance()
+
+    def busy_time(self):
+        self.settle()
+        return self.busy_fold + self.busy / self.capacity
 
     def adjust_cap(self, f, cap):
         self.settle()
@@ -383,8 +411,7 @@ def _run_churn(capacity, ops):
                 res.adjust_cap(flow, op[2])
                 oracle.adjust_cap(twin, op[2])
         assert res.used_rate == oracle.used
-        oracle.settle()
-        assert res.busy_time() == oracle.busy / oracle.capacity
+        assert res.busy_time() == oracle.busy_time()
         for flow, twin in pairs:
             assert (flow.remaining, flow.rate, flow.finished_at) == (
                 twin.remaining, twin.rate, twin.finished_at), (step, op)
@@ -457,6 +484,34 @@ class TestFluidExactOracle:
         assert oracle.max_live >= 3 * 32
         assert oracle.max_burst >= 2
         assert oracle.sub_resolution >= 1
+        assert oracle.lone >= 1
+
+    def test_lone_flow_drains_below_clock_resolution(self):
+        """Late in a long run a lone flow's horizon is below the clock's
+        resolution: it drains at the current instant."""
+        oracle = _run_churn(10.0, [
+            ("advance", 1e9), ("submit", 1e-7, math.inf, 1),
+            ("advance", 1.0), ("submit", 5e-8, 2.0, 1)])
+        assert oracle.sub_resolution == 2
+        assert oracle.lone >= 2
+
+    @pytest.mark.parametrize("ops", [
+        # Capped above and below capacity, then re-capped across it.
+        [("submit", 50.0, 20.0, 1), ("advance", 1.0),
+         ("adjust_cap", 0, 3.0), ("advance", 2.0),
+         ("adjust_capacity", 2.5), ("advance", 50.0)],
+        [("submit", 40.0, 3.0, 1), ("advance", 1.0),
+         ("adjust_capacity", 1.5), ("adjust_cap", 0, math.inf),
+         ("advance", 100.0)],
+        # A persistent lone flow, withdrawn, then a drained one.
+        [("submit", None, math.inf, 1), ("advance", 3.0),
+         ("remove", 0), ("submit", 0.0, 1.0, 1), ("submit", 4.0, 1.0, 1),
+         ("advance", 10.0)],
+    ])
+    def test_lone_flows_match_oracle(self, ops):
+        oracle = _run_churn(10.0, ops)
+        assert oracle.max_live <= 1
+        assert oracle.lone >= 2
 
 
 def _live_rates(n_flows):
