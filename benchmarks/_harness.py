@@ -23,7 +23,7 @@ import os
 import time
 from pathlib import Path
 
-from repro.core import DeploymentConfig
+from repro.core import DeploymentConfig, PlacementPolicy
 from repro.exec import ResultStore, slowdown_sweep
 from repro.units import MB
 
@@ -54,7 +54,8 @@ def _suite_config(alpha: float) -> DeploymentConfig:
     # 64 MB stripes halve the event rate of the background loop; the
     # interference channels integrate store *bytes*, so slowdowns are
     # insensitive to the stripe size (see bench_ablation_stripe).
-    return DeploymentConfig(alpha=alpha, stripe_size=64 * MB)
+    return DeploymentConfig(policy=PlacementPolicy.own_victim(alpha),
+                            stripe_size=64 * MB)
 
 
 def slowdown_table(suite: str, alpha: float,

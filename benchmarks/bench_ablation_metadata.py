@@ -10,7 +10,7 @@ placement, eviction migrates the stripes and loses nothing.
 
 import pytest
 
-from repro.core import DeploymentConfig, MemFSSDeployment
+from repro.core import DeploymentConfig, MemFSSDeployment, PlacementPolicy
 from repro.fs import FileNotFound
 from repro.hashing import ModuloPlacer
 from repro.metrics import render_table
@@ -18,7 +18,8 @@ from repro.units import GB, MB
 
 
 def run_variant(spread_metadata: bool) -> dict:
-    cfg = DeploymentConfig(n_own=2, n_victim=6, alpha=0.25,
+    cfg = DeploymentConfig(n_own=2, n_victim=6,
+                           policy=PlacementPolicy.own_victim(0.25),
                            victim_memory=4 * GB,
                            own_store_capacity=16 * GB,
                            stripe_size=8 * MB)

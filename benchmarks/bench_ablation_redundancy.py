@@ -9,7 +9,7 @@ parity code.
 
 import pytest
 
-from repro.core import DeploymentConfig, MemFSSDeployment
+from repro.core import DeploymentConfig, MemFSSDeployment, PlacementPolicy
 from repro.fs import PlacementMap, storage_overhead, stripe_key
 from repro.metrics import render_table
 from repro.units import MB
@@ -27,7 +27,9 @@ VARIANTS = (
 def run_variants():
     rows = []
     for label, kw in VARIANTS:
-        cfg = DeploymentConfig(alpha=0.25, stripe_size=16 * MB, **kw)
+        cfg = DeploymentConfig(
+            policy=PlacementPolicy.own_victim(0.25, **kw),
+            stripe_size=16 * MB)
         dep = MemFSSDeployment(cfg)
         payload_bytes = 96 * 64 * MB
         result = dep.engine.execute(
@@ -69,10 +71,11 @@ def test_ablation_redundancy_loss_tolerance(benchmark):
         out = {}
         for label, kw in (("r=2", dict(replication=2)),
                           ("erasure 4+1", dict(erasure=(4, 1)))):
-            cfg = DeploymentConfig(n_own=2, n_victim=4, alpha=0.5,
-                                   victim_memory=2 * 1024 * MB,
-                                   own_store_capacity=8 * 1024 * MB,
-                                   stripe_size=4 * MB, **kw)
+            cfg = DeploymentConfig(
+                n_own=2, n_victim=4,
+                policy=PlacementPolicy.own_victim(0.5, **kw),
+                victim_memory=2 * 1024 * MB,
+                own_store_capacity=8 * 1024 * MB, stripe_size=4 * MB)
             dep = MemFSSDeployment(cfg)
             env, fs = dep.env, dep.fs
 

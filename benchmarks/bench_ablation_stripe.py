@@ -11,7 +11,7 @@ import statistics
 
 import pytest
 
-from repro.core import DeploymentConfig, MemFSSDeployment
+from repro.core import DeploymentConfig, MemFSSDeployment, PlacementPolicy
 from repro.metrics import render_table
 from repro.units import GB, MB
 from repro.workflows import dd_bag
@@ -24,7 +24,8 @@ STRIPES = (8 * MB, 32 * MB, 128 * MB)
 def run_sweep():
     rows = []
     for stripe in STRIPES:
-        cfg = DeploymentConfig(alpha=0.25, stripe_size=int(stripe))
+        cfg = DeploymentConfig(policy=PlacementPolicy.own_victim(0.25),
+                               stripe_size=int(stripe))
         dep = MemFSSDeployment(cfg)
         result = dep.engine.execute(dd_bag(n_tasks=192, file_size=128 * MB))
         victim_bytes = [dep.fs.servers[v.name].kv.bytes_in

@@ -29,7 +29,7 @@ import os
 import time
 
 from _harness import write_result
-from repro.core import DeploymentConfig, MemFSSDeployment
+from repro.core import DeploymentConfig, MemFSSDeployment, PlacementPolicy
 from repro.faults import FaultInjector, fault_stats, revocation_storm
 from repro.fs.scavenger import RepairDaemon
 from repro.metrics import fmt_pct, render_table
@@ -46,11 +46,12 @@ STORM_FRACTION = 0.5   # 4 of 8 victims — 2x the >=25% acceptance floor
 
 
 def _config() -> DeploymentConfig:
-    return DeploymentConfig(n_own=2, n_victim=N_VICTIM, alpha=0.25,
+    return DeploymentConfig(n_own=2, n_victim=N_VICTIM,
                             victim_memory=2 * GB,
                             own_store_capacity=8 * GB,
-                            stripe_size=1 * MB, replication=2,
-                            seed=SEED, io_retries=4)
+                            stripe_size=1 * MB, seed=SEED, io_retries=4,
+                            policy=PlacementPolicy.own_victim(
+                                0.25, replication=2))
 
 
 def _payload(i: int) -> bytes:

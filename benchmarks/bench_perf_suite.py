@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import gc
 import json
-import math
 import multiprocessing as mp
 import os
 import time
@@ -58,7 +57,7 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX fallback
     resource = None
 
-from repro.core import DeploymentConfig, MemFSSDeployment
+from repro.core import DeploymentConfig, MemFSSDeployment, PlacementPolicy
 from repro.core.experiment import baseline_run
 from repro.core.slowdown import BackgroundWorkload, _run_suite
 from repro.faults import FaultInjector, fault_stats, revocation_storm
@@ -140,7 +139,8 @@ def _das5x64_fig2(solver: str) -> dict:
 
 
 def _hpcc_under_montage(solver: str) -> dict:
-    cfg = DeploymentConfig(alpha=0.25, stripe_size=64 * MB, solver=solver)
+    cfg = DeploymentConfig(policy=PlacementPolicy.own_victim(0.25),
+                           stripe_size=64 * MB, solver=solver)
     dep = MemFSSDeployment(cfg)
     background = BackgroundWorkload(
         dep, lambda i: montage(width=96, compute_scale=0.02,
@@ -188,17 +188,20 @@ def _storm(config: DeploymentConfig, n_files: int) -> dict:
 
 def _fault_storm(solver: str) -> dict:
     return _storm(DeploymentConfig(
-        n_own=2, n_victim=8, alpha=0.25, victim_memory=2 * GB,
-        own_store_capacity=8 * GB, stripe_size=1 * MB, replication=2,
-        seed=SEED, io_retries=4, solver=solver), STORM_FILES)
+        n_own=2, n_victim=8, victim_memory=2 * GB,
+        own_store_capacity=8 * GB, stripe_size=1 * MB,
+        seed=SEED, io_retries=4, solver=solver,
+        policy=PlacementPolicy.own_victim(0.25, replication=2)),
+        STORM_FILES)
 
 
 def _fault_storm_large(solver: str) -> dict:
     return _storm(DeploymentConfig(
-        n_own=4, n_victim=28, scale=STORM_L_SCALE, alpha=0.25,
+        n_own=4, n_victim=28, scale=STORM_L_SCALE,
         victim_memory=2 * GB, own_store_capacity=16 * GB,
-        stripe_size=1 * MB, replication=2, seed=SEED, io_retries=4,
-        solver=solver), STORM_L_FILES)
+        stripe_size=1 * MB, seed=SEED, io_retries=4, solver=solver,
+        policy=PlacementPolicy.own_victim(0.25, replication=2)),
+        STORM_L_FILES)
 
 
 #: name -> (runner, recorded params, solver modes to run).  The x16/x64
@@ -257,9 +260,12 @@ def _rss_peak_kb() -> int | None:
 
 
 def _base_payload(wall: float, signature: dict) -> dict:
-    """Payload for one cell; call right after its rep (reads globals)."""
+    """Payload for one cell; call right after its rep (reads globals).
+
+    ``walls`` lists every timed rep that counts toward the best-of
+    ``wall`` (set once the reps are done)."""
     return {
-        "wall": wall,
+        "walls": [wall],
         "signature": signature,
         "counters": flownet_stats.snapshot(),
     }
@@ -284,13 +290,14 @@ def _solver_payload(name: str, solver: str) -> dict:
         # allocator caches); on short walls that skews the best-of
         # upward, so it only seeds the payload and is excluded from the
         # timing.  Long walls amortize the cold start and keep it.
-        payload["wall"] = math.inf
+        payload["walls"] = []
         extra = 4 if wall < 1.0 else 3
     else:
         extra = 1
     for _ in range(extra):
         w, _sig = _timed_rep(fn, solver)
-        payload["wall"] = min(payload["wall"], w)
+        payload["walls"].append(w)
+    payload["wall"] = min(payload["walls"])
     # Peak RSS of the forked child: the start value is the warmed-import
     # baseline inherited from the parent, the peak includes every rep of
     # this one (scenario, solver) cell — the das5x64 memory gate.
@@ -315,14 +322,14 @@ def _paired_payloads(name: str) -> dict:
             if solver not in payloads:
                 payloads[solver] = _base_payload(wall, sig)
                 if not SMOKE:
-                    payloads[solver]["wall"] = math.inf
+                    payloads[solver]["walls"] = []
             else:
-                payloads[solver]["wall"] = min(
-                    payloads[solver]["wall"], wall)
+                payloads[solver]["walls"].append(wall)
     # One child runs every mode interleaved, so the peak is shared: each
     # cell records the same whole-child figure (upper bound per mode).
     rss1 = _rss_peak_kb()
     for payload in payloads.values():
+        payload["wall"] = min(payload["walls"])
         payload["rss_at_start_kb"] = rss0
         payload["rss_peak_kb"] = rss1
     return payloads
@@ -391,6 +398,9 @@ def run_perf_suite() -> dict:
                                   for s in solvers),
             "signature": signatures[base],
             "wall_s": walls,
+            # Every rep behind each best-of wall: the spread shows how
+            # far host drift moves a cell between reps.
+            "walls": {s: got_all[s]["walls"] for s in solvers},
             "rss_peak_kb": {s: got_all[s]["rss_peak_kb"] for s in solvers
                             if got_all[s].get("rss_peak_kb") is not None},
             "solver_counters": {s: got_all[s]["counters"] for s in solvers},

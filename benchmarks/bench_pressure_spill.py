@@ -22,7 +22,7 @@ from __future__ import annotations
 import time
 
 from _harness import write_result
-from repro.core import DeploymentConfig
+from repro.core import DeploymentConfig, PlacementPolicy
 from repro.core.experiment import baseline_run
 from repro.fs import pressure_stats
 from repro.metrics import render_table
@@ -48,7 +48,9 @@ def _signature(m) -> dict:
 
 def _one_run(guard: bool):
     return baseline_run(alpha=0.25, n_tasks=N_TASKS, file_size=FILE_SIZE,
-                        config=DeploymentConfig(capacity_guard=guard),
+                        config=DeploymentConfig(
+                            policy=PlacementPolicy.own_victim(
+                                0.25, capacity_guard=guard)),
                         keep_series=True)
 
 

@@ -11,12 +11,13 @@ Run:  python examples/elastic_eviction.py
 """
 
 from repro.cluster import MemoryPressureMonitor
-from repro.core import DeploymentConfig, MemFSSDeployment
+from repro.core import DeploymentConfig, MemFSSDeployment, PlacementPolicy
 from repro.units import GB, MB, fmt_bytes
 
 
 def main() -> None:
-    config = DeploymentConfig(n_own=2, n_victim=6, alpha=0.25,
+    config = DeploymentConfig(n_own=2, n_victim=6,
+                              policy=PlacementPolicy.own_victim(0.25),
                               victim_memory=4 * GB,
                               own_store_capacity=16 * GB,
                               stripe_size=8 * MB)

@@ -8,7 +8,7 @@ I/O, and runs a small dd bag through the workflow engine.
 Run:  python examples/quickstart.py
 """
 
-from repro.core import DeploymentConfig, MemFSSDeployment
+from repro.core import DeploymentConfig, MemFSSDeployment, PlacementPolicy
 from repro.fs import MountPoint
 from repro.units import MB, fmt_bytes, fmt_rate
 from repro.workflows import dd_bag
@@ -16,7 +16,8 @@ from repro.workflows import dd_bag
 
 def main() -> None:
     # 1. Deploy: cluster + reservations + stores + weighted placement.
-    config = DeploymentConfig(n_own=8, n_victim=32, alpha=0.25)
+    config = DeploymentConfig(n_own=8, n_victim=32,
+                              policy=PlacementPolicy.own_victim(0.25))
     dep = MemFSSDeployment(config)
     env = dep.env
     print(f"deployed: {len(dep.own)} own + {len(dep.victims)} victim nodes,"

@@ -8,7 +8,7 @@ MemFSS at two data splits.  Prints the slowdown table.
 Run:  python examples/tenant_interference.py
 """
 
-from repro.core import DeploymentConfig, MemFSSDeployment
+from repro.core import DeploymentConfig, MemFSSDeployment, PlacementPolicy
 from repro.core.slowdown import BackgroundWorkload, _run_suite
 from repro.metrics import render_table
 from repro.tenants import hibench_hadoop, hpcc_benchmark
@@ -23,7 +23,7 @@ def suite(n_victims: int):
 
 
 def measure(alpha: float):
-    config = DeploymentConfig(alpha=alpha)
+    config = DeploymentConfig(policy=PlacementPolicy.own_victim(alpha))
     base = MemFSSDeployment(config)
     baseline = _run_suite(base, suite(len(base.victims)))
 

@@ -10,11 +10,12 @@ scientific-workflow engine, and phase-based tenant benchmark models
 
 Quickstart::
 
-    from repro.core import DeploymentConfig, MemFSSDeployment
+    from repro.core import (DeploymentConfig, MemFSSDeployment,
+                            PlacementPolicy)
     from repro.workflows import dd_bag
 
-    dep = MemFSSDeployment(DeploymentConfig(n_own=8, n_victim=32,
-                                            alpha=0.25))
+    dep = MemFSSDeployment(DeploymentConfig(
+        n_own=8, n_victim=32, policy=PlacementPolicy.own_victim(0.25)))
     result = dep.engine.execute(dd_bag(n_tasks=256))
     print(result.makespan, dep.victim_class_utilization())
 

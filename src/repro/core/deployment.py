@@ -10,7 +10,6 @@ placement realizing the requested own-data fraction α.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 from ..cluster import (Cluster, Container, ResourceCaps, build_das5)
@@ -24,11 +23,6 @@ from ..workflows import WorkflowEngine
 from .policy import PlacementPolicy
 
 __all__ = ["DeploymentConfig", "MemFSSDeployment"]
-
-#: Legacy placement knobs and their defaults: still accepted for one
-#: release, resolved into a PlacementPolicy by DeploymentConfig.placement().
-_LEGACY_PLACEMENT_DEFAULTS = {"alpha": 0.25, "capacity_guard": True,
-                              "replication": 1, "erasure": None}
 
 #: Accepted DeploymentConfig.solver values (None = the fabric default).
 _SOLVERS = (None,) + FlowNetwork.SOLVERS
@@ -46,22 +40,15 @@ class DeploymentConfig:
     # byte-for-byte; domains only matter to CodingSets placement and
     # correlated-storm injection.
     n_tenants: int = 1
-    alpha: float = 0.25              # fraction of data on own nodes
     victim_memory: float = 10 * GB   # scavenged cap per victim (§IV-A)
     own_store_capacity: float = 56 * GB
     stripe_size: int = 32 * MB
-    replication: int = 1
-    erasure: tuple[int, int] | None = None
     # Failure-domain-aware erasure placement (DESIGN.md §15): truthy
     # turns on CodingSets anti-affinity over the tenant domains; an int
     # additionally bounds each placement group to that many nodes.
     # Requires erasure coding.
     coding_sets: int | bool | None = None
     write_window: int = 2
-    # Capacity-aware write path: consult store free space and spill down
-    # the HRW chain instead of raising StoreFull.  Off reproduces the
-    # pre-guard crash-on-full behavior (used by the overhead benchmark).
-    capacity_guard: bool = True
     password: str = "memfss-secret"
     seed: int = 0
     # Store-client resilience posture: per-op deadline (seconds of
@@ -80,11 +67,10 @@ class DeploymentConfig:
     # Kept as a separate knob so figure recipes stay written in paper
     # units and the sweep cache keys change only through scaled().
     scale: int = 1
-    # The unified placement policy.  When set it is authoritative for
-    # classes / fractions / hash family / capacity guard / redundancy,
-    # and the legacy knobs above (alpha, capacity_guard, replication,
-    # erasure) must be left at their defaults or agree with it.
-    policy: PlacementPolicy | None = None
+    # The placement policy: node classes and their data fractions (the
+    # own fraction is the paper's α), hash family, capacity guard and
+    # redundancy (replication or erasure coding).
+    policy: PlacementPolicy = PlacementPolicy.own_victim(0.25)
 
     def __post_init__(self):
         if self.n_own < 1:
@@ -95,32 +81,11 @@ class DeploymentConfig:
             raise ValueError("n_tenants must be >= 1")
         if self.n_victim and self.n_tenants > self.n_victim:
             raise ValueError("n_tenants cannot exceed n_victim")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must be in [0, 1]")
         if self.scale < 1:
             raise ValueError("scale must be >= 1")
         if self.solver not in _SOLVERS:
             raise ValueError(f"solver must be one of {_SOLVERS}, "
                              f"got {self.solver!r}")
-        if self.policy is not None:
-            self._check_policy_consistency()
-
-    def _check_policy_consistency(self) -> None:
-        """A legacy knob moved off its default AND off the policy's value
-        is a stale-knob bug (the policy would silently win); refuse it."""
-        pol = self.policy
-        pol_values = {"alpha": pol.alpha if pol.alpha is not None
-                      else _LEGACY_PLACEMENT_DEFAULTS["alpha"],
-                      "capacity_guard": pol.capacity_guard,
-                      "replication": pol.replication,
-                      "erasure": pol.erasure}
-        for knob, default in _LEGACY_PLACEMENT_DEFAULTS.items():
-            value = getattr(self, knob)
-            if value != default and value != pol_values[knob]:
-                raise ValueError(
-                    f"DeploymentConfig.{knob}={value!r} conflicts with "
-                    f"policy ({pol_values[knob]!r}); set placement knobs "
-                    f"on the PlacementPolicy only")
 
     def scaled(self) -> "DeploymentConfig":
         """Resolve the scale multiplier into explicit node counts."""
@@ -129,43 +94,10 @@ class DeploymentConfig:
         return replace(self, n_own=self.n_own * self.scale,
                        n_victim=self.n_victim * self.scale, scale=1)
 
-    # -- placement resolution ----------------------------------------------------
-    def _legacy_policy(self) -> PlacementPolicy:
-        """The policy equivalent to the legacy knobs (closed-form weights
-        — byte-identical to the pre-policy ``own_victim_weights`` path)."""
-        return PlacementPolicy.own_victim(
-            self.alpha, capacity_guard=self.capacity_guard,
-            replication=self.replication, erasure=self.erasure)
-
-    def placement(self) -> PlacementPolicy:
-        """The effective :class:`PlacementPolicy` of this deployment.
-
-        Configs without an explicit policy resolve their legacy knobs
-        into one; using those knobs off their defaults draws a
-        one-release :class:`DeprecationWarning` (pass ``policy=`` —
-        e.g. via :meth:`with_alpha` — instead).
-        """
-        if self.policy is not None:
-            return self.policy
-        legacy = {k: getattr(self, k)
-                  for k, d in _LEGACY_PLACEMENT_DEFAULTS.items()
-                  if getattr(self, k) != d}
-        if legacy:
-            warnings.warn(
-                f"DeploymentConfig placement knobs {sorted(legacy)} are "
-                f"deprecated (one release): pass "
-                f"policy=PlacementPolicy.own_victim(...) or use "
-                f"with_alpha()", DeprecationWarning, stacklevel=2)
-        return self._legacy_policy()
-
     def with_alpha(self, alpha: float) -> "DeploymentConfig":
-        """This config retargeted to own-fraction *alpha* — the α-sweep
-        primitive.  Works on policy and legacy configs alike; the result
-        always carries an explicit policy (no deprecation warning)."""
-        pol = self.policy if self.policy is not None \
-            else self._legacy_policy()
-        return replace(self, alpha=alpha,
-                       policy=pol.with_fraction("own", alpha))
+        """This config retargeted to own-fraction *alpha*: the α-sweep
+        primitive."""
+        return replace(self, policy=self.policy.with_fraction("own", alpha))
 
 
 class MemFSSDeployment:
@@ -197,7 +129,7 @@ class MemFSSDeployment:
                                 name=f"own@{n.name}", auth=auth)
             for n in self.own}
 
-        pol = config.placement()
+        pol = config.policy
         self.placement_policy = pol
         weights = pol.weights()
         policy = pol.materialize(

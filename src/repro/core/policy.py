@@ -1,28 +1,25 @@
 """The unified placement policy: every placement knob in one object.
 
-Before this module the knobs steering placement were scattered — ``alpha``
-/ ``capacity_guard`` / ``replication`` / ``erasure`` on
-:class:`~repro.core.deployment.DeploymentConfig`, raw class-weight dicts
-from :func:`repro.hashing.own_victim_weights`, and per-call kwargs on the
-fs builders.  A :class:`PlacementPolicy` consolidates them: named node
-classes with *target data fractions* (or explicit HRW weights), the hash
-family, the capacity guard, and the redundancy policy.  It is frozen,
-hashable and picklable, so it rides inside
+A :class:`PlacementPolicy` holds every setting that steers placement:
+named node classes with *target data fractions* (or explicit HRW
+weights), the hash family, the capacity guard, and the redundancy policy
+(replication or erasure coding).  It is the one placement setting of a
+deployment: :attr:`~repro.core.deployment.DeploymentConfig.policy` is
+always set and defaults to the paper's ``own_victim(0.25)`` split.  It
+is frozen, hashable and picklable, so it rides inside
 :class:`~repro.core.deployment.DeploymentConfig` across the process-pool
 spawn boundary and into scenario fingerprints unchanged.
 
 The policy is *declarative*: it names classes and targets but no concrete
 nodes.  :meth:`PlacementPolicy.materialize` binds it to a membership map
-and returns the runtime :class:`~repro.fs.placement.PlacementMap` (the
-object previously called ``PlacementPolicy``; the old name survives one
-release as a deprecated alias in :mod:`repro.fs`).
+and returns the runtime :class:`~repro.fs.placement.PlacementMap`.
 
-Fractions become weights through the same math as before — the two-class
-closed form, or the memoized :func:`repro.hashing.calibrate_weights`
-numeric fit for three classes and up — so a policy-built deployment is
-byte-identical to the legacy-knob path it replaces.  The market
-controller (:mod:`repro.market`) retunes placement by *retargeting* a
-policy each epoch and diffing the resulting stripe plans.
+Fractions become weights through the two-class closed form (bit-identical
+to :func:`repro.hashing.own_victim_weights`) or the memoized
+:func:`repro.hashing.calibrate_weights` numeric fit for three classes
+and up.  The market controller (:mod:`repro.market`) retunes placement
+by *retargeting* a policy each epoch and diffing the resulting stripe
+plans.
 """
 
 from __future__ import annotations
@@ -164,9 +161,8 @@ class PlacementPolicy:
         Explicit-weight policies return their weights verbatim.
         Fraction-targeted policies go through
         :func:`repro.hashing.calibrate_weights`: the closed form for two
-        classes (bit-identical to the legacy
-        ``own_victim_weights(alpha)`` path) and the memoized numeric fit
-        for three and up.
+        classes (bit-identical to ``own_victim_weights(alpha)``) and the
+        memoized numeric fit for three and up.
         """
         if not self.by_fraction:
             return {name: t.weight for name, t in self.classes}

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core import (DeploymentConfig, average_slowdown, footprint_of,
-                        normalized, run_scavenging, run_standalone)
+from repro.core import (DeploymentConfig, PlacementPolicy, average_slowdown,
+                        footprint_of, normalized, run_scavenging,
+                        run_standalone)
 from repro.core.slowdown import SlowdownResult, measure_slowdowns
 from repro.tenants import ComputePhase, PhasedWorkload, SleepPhase
 from repro.units import GB, MB
@@ -78,7 +79,8 @@ class TestConsumption:
 
 class TestSlowdownHarness:
     def test_compute_only_suite_sees_tiny_slowdown(self):
-        cfg = DeploymentConfig(n_own=2, n_victim=4, alpha=0.25,
+        cfg = DeploymentConfig(n_own=2, n_victim=4,
+                               policy=PlacementPolicy.own_victim(0.25),
                                victim_memory=2 * GB,
                                own_store_capacity=8 * GB,
                                stripe_size=8 * MB)

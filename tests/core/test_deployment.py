@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.core import (DeploymentConfig, MemFSSDeployment, baseline_run)
+from repro.core import (DeploymentConfig, MemFSSDeployment, PlacementPolicy,
+                        baseline_run)
+from repro.hashing import own_victim_weights
 from repro.units import GB, MB
 from repro.workflows import dd_bag
 
@@ -26,7 +28,11 @@ class TestDeploymentConfig:
         with pytest.raises(ValueError):
             DeploymentConfig(n_own=0)
         with pytest.raises(ValueError):
-            DeploymentConfig(alpha=1.5)
+            DeploymentConfig().with_alpha(1.5)
+        # The legacy placement knob is gone, not silently ignored (a
+        # spread, so the call-site guard does not flag this on purpose).
+        with pytest.raises(TypeError):
+            DeploymentConfig(**{"alpha": 0.5})
         with pytest.raises(ValueError):
             DeploymentConfig(n_victim=-1)
         for solver in ("auto", "sharded", "bogus"):
@@ -34,6 +40,14 @@ class TestDeploymentConfig:
                 DeploymentConfig(solver=solver)
         for solver in (None, "incremental", "reference"):
             assert DeploymentConfig(solver=solver).solver == solver
+
+    def test_default_policy_is_paper_split(self):
+        cfg = DeploymentConfig(n_own=2, n_victim=4, victim_memory=2 * GB,
+                               own_store_capacity=8 * GB)
+        assert cfg.policy == PlacementPolicy.own_victim(0.25)
+        classes = MemFSSDeployment(cfg).fs.policy.classes
+        assert {name: classes[name].weight for name in classes} == \
+            own_victim_weights(0.25)
 
 
 class TestMemFSSDeployment:

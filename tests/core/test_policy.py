@@ -19,9 +19,9 @@ class TestPlacementPolicy:
         assert pol.alpha == 0.25
 
     def test_two_class_weights_byte_identical_to_legacy(self):
-        # The closed form must produce *exactly* the floats the old
-        # own_victim_weights path did — this is what keeps policy-built
-        # deployments byte-identical to the legacy-knob path.
+        # The closed form must produce *exactly* the floats
+        # own_victim_weights does: the Fig. 2 golden trajectories and the
+        # stored results were computed from those weights.
         for alpha in (0.0, 0.25, 0.3, 0.5, 0.75, 1.0):
             pol = PlacementPolicy.own_victim(alpha)
             assert pol.weights() == own_victim_weights(alpha)
@@ -100,45 +100,22 @@ class TestPlacementPolicy:
 
 
 class TestDeploymentConfigPolicy:
-    def test_legacy_knobs_warn_once_deprecated(self):
-        config = DeploymentConfig(alpha=0.5)
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            pol = config.placement()
-        assert pol.alpha == 0.5
-
-    def test_default_knobs_do_not_warn(self, recwarn):
-        DeploymentConfig().placement()
-        assert not [w for w in recwarn.list
-                    if issubclass(w.category, DeprecationWarning)]
-
     def test_with_alpha_does_not_warn(self, recwarn):
         config = DeploymentConfig().with_alpha(0.5)
-        pol = config.placement()
-        assert pol.alpha == 0.5
+        assert config.policy.alpha == 0.5
         assert not [w for w in recwarn.list
                     if issubclass(w.category, DeprecationWarning)]
 
-    def test_policy_field_authoritative(self, recwarn):
+    def test_policy_field_authoritative(self):
         pol = PlacementPolicy.own_victim(0.75, replication=2)
         config = DeploymentConfig(policy=pol)
-        assert config.placement() is pol
-        assert not [w for w in recwarn.list
-                    if issubclass(w.category, DeprecationWarning)]
-
-    def test_conflicting_legacy_knob_rejected(self):
-        pol = PlacementPolicy.own_victim(0.75)
-        with pytest.raises(ValueError, match="alpha"):
-            DeploymentConfig(alpha=0.5, policy=pol)
-
-    def test_agreeing_legacy_knob_ok(self):
-        pol = PlacementPolicy.own_victim(0.5)
-        config = DeploymentConfig(alpha=0.5, policy=pol)
-        assert config.placement() is pol
+        assert config.policy is pol
+        assert MemFSSDeployment(config).placement_policy is pol
 
     def test_config_with_policy_pickles(self):
         config = DeploymentConfig().with_alpha(0.3)
         clone = pickle.loads(pickle.dumps(config))
-        assert clone.placement() == config.placement()
+        assert clone.policy == config.policy
 
     def test_policy_deployment_matches_legacy_weights(self):
         config = DeploymentConfig(

@@ -11,12 +11,13 @@ import json
 
 import pytest
 
-from repro.core import DeploymentConfig
+from repro.core import DeploymentConfig, PlacementPolicy
 from repro.core.experiment import baseline_sweep
 from repro.exec import (SweepRunner, fig2_sweep_specs, slowdown_suite_spec)
 from repro.units import MB
 
-TINY_CFG = DeploymentConfig(n_own=2, n_victim=6, alpha=0.25)
+TINY_CFG = DeploymentConfig(n_own=2, n_victim=6,
+                            policy=PlacementPolicy.own_victim(0.25))
 
 
 def _canon(results):

@@ -28,7 +28,7 @@ def fake_suite_executor(spec):
     times = {"bench-a": base_s, "bench-b": 2 * base_s}
     if p.get("workload") is None:
         return {"runtimes_s": times}
-    alpha = spec.deployment_config().alpha
+    alpha = spec.deployment_config().policy.alpha
     factor = 1.0 + slope * (1.0 - alpha) / 100.0
     return {"runtimes_s": {k: v * factor for k, v in times.items()}}
 
@@ -46,7 +46,7 @@ class TestCells:
         assert specs[1].param("workload") == "dd"
         assert specs[0].param("suite") == "hpcc"
         assert specs[0].param("suite_scale") == 0.5  # HPCC half-scale
-        assert specs[0].config.alpha == 0.5
+        assert specs[0].config.policy.alpha == 0.5
         # The same cell built twice addresses the same cache entries.
         again = cell_specs("hpcc", 0.5, "dd")
         assert [s.spec_key() for s in specs] == \

@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from repro.core import DeploymentConfig
+from repro.core import DeploymentConfig, PlacementPolicy
 from repro.exec import ScenarioSpec, fig2_spec
 
 
@@ -41,9 +41,10 @@ class TestNormalization:
 
 class TestFingerprint:
     def test_stable_for_equal_specs(self):
-        cfg = DeploymentConfig(alpha=0.5)
+        cfg = DeploymentConfig(policy=PlacementPolicy.own_victim(0.5))
         a = fig2_spec(0.5, n_tasks=16, config=cfg)
-        b = fig2_spec(0.5, n_tasks=16, config=DeploymentConfig(alpha=0.5))
+        b = fig2_spec(0.5, n_tasks=16, config=DeploymentConfig(
+            policy=PlacementPolicy.own_victim(0.5)))
         assert a.fingerprint("v1") == b.fingerprint("v1")
         assert a.spec_key() == b.spec_key()
 

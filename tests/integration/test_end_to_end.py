@@ -3,17 +3,17 @@
 import pytest
 
 from repro.cluster import MemoryPressureMonitor
-from repro.core import DeploymentConfig, MemFSSDeployment
+from repro.core import DeploymentConfig, MemFSSDeployment, PlacementPolicy
 from repro.store import StoreError
 from repro.units import GB, MB
 from repro.workflows import blast, dd_bag, montage
 
 
-def small_config(**kw):
-    base = dict(n_own=2, n_victim=4, alpha=0.25, victim_memory=2 * GB,
+def small_config(alpha=0.25, **kw):
+    base = dict(n_own=2, n_victim=4, victim_memory=2 * GB,
                 own_store_capacity=8 * GB, stripe_size=8 * MB)
     base.update(kw)
-    return DeploymentConfig(**base)
+    return DeploymentConfig(policy=PlacementPolicy.own_victim(alpha), **base)
 
 
 class TestWorkflowsOnDeployment:
