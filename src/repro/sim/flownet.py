@@ -37,30 +37,29 @@ ways:
   per-stripe transfers a MemFSS write fan-out issues at one timestamp cost
   one solve instead of m.
 
-Since the struct-of-arrays refactor (DESIGN.md §11) the mutable per-flow
-and per-link numbers live in slot-indexed numpy arrays owned by the
-network; :class:`NetFlow` / :class:`Link` objects are handles whose
-properties read the arrays while attached and scalar fallbacks once
-detached (which also keeps the dict-based reference oracle working
-unmodified on standalone objects).  Attached flows are listed in the
-creation-ordered ``_live`` slot list (a slot returns to the free pool
-the moment its flow detaches), so settle and flush cost scales with the
-live population.  Every order-sensitive float reduction (class-byte
-accumulation, per-link used-rate sums) runs in *creation order* — a
-scalar loop over ``_live`` for small populations, ``np.add.at`` /
-``np.bincount`` above that — the same float sequence the per-object
-loops produced, keeping trajectories bit-identical (see the summation
-invariant in DESIGN.md §11).
+Flows carry their own state (DESIGN.md §11): a :class:`NetFlow` holds
+its ``remaining``, rate and cap as Python floats on the flow base it
+shares with :class:`~repro.sim.fluid.Flow`, and :class:`FlowNetwork`
+shares :class:`~repro.sim.fluid.FluidResource`'s completion loop
+(finish drained flows, solve, take the horizon, arm one wakeup).  The
+network's attached flows sit in ``_live`` in creation order, so settle
+and flush cost scales with the live population.  Per-link numbers
+(capacity, used rate, busy integral, class bytes) live in slot-indexed
+numpy arrays owned by the network, and a :class:`Link` is a handle over
+its slot; a standalone Link (the equivalence suite's detached clones)
+keeps them in scalar fallbacks, so the dict-based reference oracle runs
+on it unmodified.  Every order-sensitive float reduction (class-byte
+accumulation, per-link used-rate sums) runs in *creation order*,
+keeping trajectories bit-identical (see the summation invariant in
+DESIGN.md §11).
 
-Small populations are solved in plain Python.  Most fills cover two
-flows or fewer and over half cover none, so numpy's per-call overhead
-was most of their cost.  At or below ``_SCALAR_MAX`` flows,
-``_fill_vec`` runs progressive filling as loops over dicts keyed by link
-slot, and ``_flush`` runs its finish scan, horizon and sub-resolution
-drain as loops over ``_live``; above it the numpy code runs.  Both
-branches apply the same IEEE-754 operations to the same operands
-(min-reductions are exact in any order, used-rate sums run in creation
-order), so they agree bit for bit.
+``_fill_vec`` solves a component of at most ``_SCALAR_MAX`` flows as
+Python loops over dicts keyed by link slot: most fills cover two flows
+or fewer, where numpy's per-call overhead would be most of the cost.
+Larger components run as numpy array ops.  Both branches apply the same
+IEEE-754 operations to the same operands (min-reductions are exact in
+any order, used-rate sums run in creation order), so they agree bit for
+bit.
 
 Process-wide :data:`flownet_stats` counters expose solves, rounds and
 flows/links touched for the perf suite (``benchmarks/bench_perf_suite.py``).
@@ -71,23 +70,22 @@ from __future__ import annotations
 import math
 import warnings
 from contextlib import contextmanager
+from itertools import chain
+from operator import attrgetter
 from typing import Iterable
 
 import numpy as np
 
-from .kernel import Environment, Event, SimulationError
+from .fluid import _EPS, _FlowBase, _FlowOwner
+from .kernel import Environment, SimulationError
 
 __all__ = ["Link", "NetFlow", "FlowNetwork", "progressive_fill",
            "FlowNetStats", "flownet_stats"]
 
-_EPS = 1e-9
-_PAD = -1            # padding value in per-flow link-slot rows
-_INIT_FLOW_SLOTS = 32
 _INIT_LINK_SLOTS = 16
 _INIT_PREFIXES = 4
-#: At or below this many flows (live flows for _settle and _flush, the
-#: component's flows for _fill_vec) the solver runs Python scalar loops;
-#: above it, numpy array ops.
+#: At or below this many flows in a component, _fill_vec runs Python
+#: scalar loops; above it, numpy array ops.
 _SCALAR_MAX = 32
 
 
@@ -227,12 +225,8 @@ class Link:
         return f"<Link {self.name} {self._used_rate:.3g}/{self.capacity:.3g}>"
 
 
-class NetFlow:
+class NetFlow(_FlowBase):
     """A transfer crossing one or more links.
-
-    A handle over a slot in its network's flow arrays; detached flows
-    (standalone oracle clones, completed/removed flows) carry their final
-    values in scalar fallbacks.
 
     Network-owned flows record their path as link *slots* only
     (``_lslots``); the ``links`` tuple of :class:`Link` handles is
@@ -242,32 +236,22 @@ class NetFlow:
     equivalence suite's oracle clones) still pass a Link tuple directly.
     """
 
-    __slots__ = ("work", "done", "label", "class_prefix",
-                 "started_at", "finished_at", "_net", "_seq", "_slot",
-                 "_rate_s", "_rem_s", "_cap_s", "_links_t", "_lslots",
+    __slots__ = ("class_prefix", "_net", "_seq", "_links_t", "_lslots",
                  "_pidx")
 
     def __init__(self, env: Environment, links: tuple[Link, ...] | None,
                  work: float | None, cap: float, label: str,
                  net: "FlowNetwork | None" = None,
                  lslots: tuple[int, ...] | None = None):
+        super().__init__(env, work, cap, label)
         if lslots is None:
             lslots = tuple(l._slot for l in links)
         self._links_t = links
         self._lslots = lslots
-        self.work = work
-        self._slot = -1
-        self._rem_s = math.inf if work is None else float(work)
-        self._cap_s = float(cap)
-        self._rate_s = 0.0
-        self.done: Event = env.event()
-        self.label = label
         # Interned once here instead of a str.partition per flow per
         # settle (the class prefix feeds Link.class_bytes accounting).
         prefix, sep, _rest = label.partition(":")
         self.class_prefix: str | None = prefix if sep else None
-        self.started_at = env.now
-        self.finished_at: float | None = None
         self._net = net
         self._seq = 0  # creation order within a FlowNetwork (see _solve)
         self._pidx = -1  # interned class_prefix index while attached
@@ -283,40 +267,6 @@ class NetFlow:
         return t
 
     @property
-    def remaining(self) -> float:
-        s = self._slot
-        if s >= 0:
-            return float(self._net._f_rem[s])
-        return self._rem_s
-
-    @remaining.setter
-    def remaining(self, value: float) -> None:
-        s = self._slot
-        if s >= 0:
-            self._net._f_rem[s] = value
-        else:
-            self._rem_s = float(value)
-
-    @property
-    def cap(self) -> float:
-        return self._cap_s
-
-    @property
-    def _rate(self) -> float:
-        s = self._slot
-        if s >= 0:
-            return float(self._net._f_rate[s])
-        return self._rate_s
-
-    @_rate.setter
-    def _rate(self, value: float) -> None:
-        s = self._slot
-        if s >= 0:
-            self._net._f_rate[s] = value
-        else:
-            self._rate_s = float(value)
-
-    @property
     def rate(self) -> float:
         """Current max-min fair rate (flushes a pending batched solve)."""
         net = self._net
@@ -327,10 +277,6 @@ class NetFlow:
     @rate.setter
     def rate(self, value: float) -> None:
         self._rate = value
-
-    @property
-    def persistent(self) -> bool:
-        return self.work is None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         path = "->".join(l.name for l in self.links)
@@ -394,7 +340,7 @@ def progressive_fill(flows: list[NetFlow], links: Iterable[Link]) -> None:
             l._used_rate += f._rate
 
 
-class FlowNetwork:
+class FlowNetwork(_FlowOwner):
     """Event-driven fluid network: owns links and active flows.
 
     *solver* selects the solve strategy: ``"incremental"`` (default, the
@@ -414,7 +360,7 @@ class FlowNetwork:
         if solver not in self.SOLVERS:
             raise SimulationError(f"unknown solver {solver!r}; "
                                   f"choose one of {self.SOLVERS}")
-        self.env = env
+        super().__init__(env)
         self.solver = solver
         self._links: dict[str, Link] = {}
         self._link_slot: dict[str, int] = {}
@@ -433,45 +379,25 @@ class FlowNetwork:
         self._class_acc = np.zeros((nl, _INIT_PREFIXES))
         self._prefixes: list[str] = []
         self._prefix_idx: dict[str, int] = {}
-        #: global-link-slot -> component-local index scratch; the extra
-        #: trailing cell is the sentinel the _PAD entries map to.
-        self._loc = np.zeros(nl + 1, dtype=np.int32)
-        # -- flow slot arrays
-        nf = _INIT_FLOW_SLOTS
-        self._W = 4  # link-row width (verbs paths use 2, tcp uses 4)
-        self._f_cap = np.zeros(nf)
-        self._f_rem = np.zeros(nf)
-        self._f_rate = np.zeros(nf)
-        self._f_pers = np.zeros(nf, dtype=bool)
-        self._f_prefix = np.full(nf, -1, dtype=np.int32)
-        self._f_links = np.full((nf, self._W), _PAD, dtype=np.int32)
-        self._objs: list[NetFlow | None] = [None] * nf
-        self._seqs: list[int] = [0] * nf
-        self._free = list(range(nf - 1, -1, -1))
-        #: attached flow slots in creation order
-        self._live: list[int] = []
-        #: adjacency: link slot -> set of active flow slots crossing it
-        self._flows_of: list[set[int]] = []
+        #: adjacency: link slot -> set of attached flows crossing it
+        self._flows_of: list[set[NetFlow]] = []
         #: link slots whose component must be re-solved at the next flush
         self._dirty: set[int] = set()
         self._pending = False
         self._batch_depth = 0
         self._ops_since_flush = 0
         self._flow_seq = 0
-        self._last_update = env.now
-        self._wakeup_fn = self._wakeup
-        self._wakeup_cb = None
 
     # -- topology -------------------------------------------------------------
     def add_link_lean(self, name: str, capacity: float) -> int:
         """Allocate a link *slot* without creating a :class:`Link` handle.
 
         The memory-lean path for fabric-internal links at ×64 scale
-        (DESIGN.md §13): the mutable state lives in the SoA arrays
-        anyway, so the handle object is pure overhead until someone
-        needs one — :meth:`_materialize` builds it on demand (``link()``,
-        the ``links`` property, ``NetFlow.links``).  Flows accept raw
-        slots wherever they accept Links.
+        (DESIGN.md §13): a link's mutable state lives in the network's
+        link arrays anyway, so the handle object is pure overhead until
+        someone needs one — :meth:`_materialize` builds it on demand
+        (``link()``, the ``links`` property, ``NetFlow.links``).  Flows
+        accept raw slots wherever they accept Links.
         """
         if name in self._link_slot:
             raise SimulationError(f"duplicate link {name!r}")
@@ -487,7 +413,6 @@ class FlowNetwork:
             acc = np.zeros((new, self._class_acc.shape[1]))
             acc[:s] = self._class_acc
             self._class_acc = acc
-            self._loc = np.zeros(new + 1, dtype=np.int32)
         self._l_cap[s] = float(capacity)
         self._l_used[s] = 0.0
         self._l_busy[s] = 0.0
@@ -557,7 +482,7 @@ class FlowNetwork:
     def flows(self) -> tuple[NetFlow, ...]:
         if self._pending:
             self._flush()
-        return tuple(self._objs[s] for s in self._live)
+        return tuple(self._live)
 
     # -- batching -------------------------------------------------------------
     @contextmanager
@@ -589,42 +514,30 @@ class FlowNetwork:
         either way and materializes handles only if ``flow.links`` is
         read.
         """
-        if cap <= 0:
-            raise SimulationError("flow cap must be positive")
-        self._settle()
         lslots = tuple(self._resolve_slot(l) for l in links)
         if not lslots:
             raise SimulationError("a flow needs at least one link")
         flow = NetFlow(self.env, None, nbytes, cap, label, net=self,
                        lslots=lslots)
+        self._settle()
         flow._seq = self._flow_seq
         self._flow_seq += 1
-        if flow._rem_s <= _EPS and not flow.persistent:
-            flow.finished_at = self.env.now
-            flow.done.succeed(flow)
-            return flow
-        self._attach(flow)
-        s = flow._slot
-        for ls in lslots:
-            self._flows_of[ls].add(s)
-        self._mark(lslots)
+        if self._admit(flow):
+            if flow.class_prefix is not None:
+                flow._pidx = self._intern_prefix(flow.class_prefix)
+            for ls in lslots:
+                self._flows_of[ls].add(flow)
+            self._mark(lslots)
         return flow
 
     def remove(self, flow: NetFlow) -> float:
         """Withdraw a flow; returns remaining work."""
         self._settle()
-        if flow._net is not self or flow._slot < 0:
+        if flow._net is not self or not flow._attached:
             return 0.0
-        s = flow._slot
-        remaining = float(self._f_rem[s])
-        for ls in flow._lslots:
-            self._flows_of[ls].discard(s)
-        self._detach(flow)
-        flow._rem_s = remaining
-        if not flow.persistent and not flow.done.triggered:
-            flow.done.fail(SimulationError(f"flow {flow.label!r} cancelled"))
+        self._withdraw(flow)
         self._mark(flow._lslots)
-        return remaining
+        return flow.remaining
 
     def consume(self, links: "Iterable[Link | int]", nbytes: float,
                 cap: float = math.inf, label: str = ""):
@@ -653,33 +566,7 @@ class FlowNetwork:
         """Bring byte integrals up to the current time (for probes)."""
         self._settle()
 
-    # -- flow slot machinery ---------------------------------------------------
-    def _grow_flows(self) -> None:
-        old = len(self._objs)
-        new = old * 2
-        for name in ("_f_cap", "_f_rem", "_f_rate"):
-            arr = np.zeros(new)
-            arr[:old] = getattr(self, name)
-            setattr(self, name, arr)
-        pers = np.zeros(new, dtype=bool)
-        pers[:old] = self._f_pers
-        self._f_pers = pers
-        pref = np.full(new, -1, dtype=np.int32)
-        pref[:old] = self._f_prefix
-        self._f_prefix = pref
-        rows = np.full((new, self._W), _PAD, dtype=np.int32)
-        rows[:old] = self._f_links
-        self._f_links = rows
-        self._objs.extend([None] * (new - old))
-        self._seqs.extend([0] * (new - old))
-        self._free.extend(range(new - 1, old - 1, -1))
-
-    def _widen_rows(self, width: int) -> None:
-        rows = np.full((len(self._objs), width), _PAD, dtype=np.int32)
-        rows[:, : self._W] = self._f_links
-        self._f_links = rows
-        self._W = width
-
+    # -- internals --------------------------------------------------------------
     def _intern_prefix(self, prefix: str) -> int:
         idx = self._prefix_idx.get(prefix)
         if idx is None:
@@ -692,42 +579,11 @@ class FlowNetwork:
             self._prefixes.append(prefix)
         return idx
 
-    def _attach(self, flow: NetFlow) -> None:
-        if not self._free:
-            self._grow_flows()
-        s = self._free.pop()
-        flow._slot = s
-        deg = len(flow._lslots)
-        if deg > self._W:
-            self._widen_rows(deg)
-        self._f_cap[s] = flow._cap_s
-        self._f_rem[s] = flow._rem_s
-        self._f_rate[s] = 0.0
-        self._f_pers[s] = flow.work is None
-        flow._pidx = (-1 if flow.class_prefix is None
-                      else self._intern_prefix(flow.class_prefix))
-        self._f_prefix[s] = flow._pidx
-        self._f_links[s, :deg] = flow._lslots
-        self._f_links[s, deg:] = _PAD
-        self._objs[s] = flow
-        self._seqs[s] = flow._seq
-        self._live.append(s)
+    def _unlink(self, flow: NetFlow) -> None:
+        for ls in flow._lslots:
+            self._flows_of[ls].discard(flow)
+            self._dirty.add(ls)
 
-    def _detach(self, flow: NetFlow) -> None:
-        """Array-side teardown: copy state to scalars, free the slot.
-
-        Every scan walks ``_live``, so nothing references a detached
-        slot and it is reusable at once.
-        """
-        s = flow._slot
-        flow._rem_s = float(self._f_rem[s])
-        flow._rate_s = 0.0
-        flow._slot = -1
-        self._objs[s] = None
-        self._free.append(s)
-        self._live.remove(s)
-
-    # -- internals --------------------------------------------------------------
     def _mark(self, link_slots: Iterable[int]) -> None:
         """Mark link slots dirty and arrange for a coalesced solve."""
         self._dirty.update(link_slots)
@@ -763,48 +619,30 @@ class FlowNetwork:
         # (their remaining stays inf).  A flow that moved exactly 0.0
         # bytes is skipped: x - 0.0 == x and, on the >= +0.0
         # accumulators, x + 0.0 == x bitwise.
-        live = self._live
-        if len(live) <= _SCALAR_MAX:
-            f_rem, f_rate, acc = self._f_rem, self._f_rate, self._class_acc
-            objs = self._objs
-            for s in live:
-                m = f_rate[s] * dt
-                if m == 0.0:
-                    continue
-                flow = objs[s]
-                if flow.work is not None:
-                    r = f_rem[s] - m
-                    f_rem[s] = 0.0 if r < 0.0 else r
-                p = flow._pidx
-                if p >= 0:
-                    for ls in flow._lslots:
-                        acc[ls, p] += m
-        else:
-            # np.add.at applies repeated indices sequentially in input
-            # order, i.e. creation order on the flattened accumulator.
-            a = np.asarray(live, dtype=np.intp)
-            moved = self._f_rate[a] * dt
-            rem = self._f_rem[a] - np.where(self._f_pers[a], 0.0, moved)
-            self._f_rem[a] = np.maximum(rem, 0.0)
-            pf = self._f_prefix[a]
-            sel = (pf >= 0) & (moved != 0.0)
-            if sel.any():
-                lf = self._f_links[a[sel]].astype(np.intp)
-                ok = (lf >= 0).ravel()
-                idx = (lf * self._class_acc.shape[1] + pf[sel, None]).ravel()
-                np.add.at(self._class_acc.reshape(-1), idx[ok],
-                          np.repeat(moved[sel], self._W)[ok])
+        acc = self._class_acc
+        for f in self._live:
+            m = f._rate * dt
+            if m == 0.0:
+                continue
+            if f.work is not None:
+                r = f.remaining - m
+                f.remaining = 0.0 if r < 0.0 else r
+            p = f._pidx
+            if p >= 0:
+                for ls in f._lslots:
+                    acc[ls, p] += m
         nl = self._nl
         self._l_busy[:nl] += self._l_used[:nl] * dt
         self._last_update = now
 
-    def _fill_vec(self, fs: list[int], ls: list[int],
+    def _fill_vec(self, fs: list[NetFlow], ls: list[int],
                   stats: FlowNetStats) -> None:
         """Progressive filling over one closed flow–link set.
 
-        *fs* must be in creation (seq) order; *ls* order is free (only
-        min-reductions and elementwise updates touch links, and the
-        per-link used-rate writeback accumulates in flow order).  Up to
+        *fs* must be in creation (seq) order; the order of *ls*, the
+        link slots, is free (only min-reductions and elementwise updates
+        touch links, and the per-link used-rate writeback accumulates in
+        flow order).  Up to
         ``_SCALAR_MAX`` flows the fill runs as Python loops over dicts
         keyed by link slot, above that as numpy array ops; both compute
         the identical float sequence as the classic per-object
@@ -820,15 +658,10 @@ class FlowNetwork:
             for l in ls:
                 l_used[l] = 0.0
             return
+        paths = [f._lslots for f in fs]
+        caps = [f._cap for f in fs]
         if nf <= _SCALAR_MAX:
-            objs = self._objs
             l_cap = self._l_cap
-            paths = []
-            caps = []
-            for s in fs:
-                flow = objs[s]
-                paths.append(flow._lslots)
-                caps.append(flow._cap_s)
             avail = {}
             sat_eps = {}
             for l in ls:
@@ -879,26 +712,25 @@ class FlowNetwork:
                     stats.record_stalemate()
                     break  # numerical stalemate; rates are already near-fair
                 unf = still
-            f_rate = self._f_rate
             used = dict.fromkeys(ls, 0.0)
-            for s, path, r in zip(fs, paths, rates):
-                f_rate[s] = r
+            for f, path, r in zip(fs, paths, rates):
+                f._rate = r
                 for l in path:
                     used[l] += r
             for l, u in used.items():
                 l_used[l] = u
             return
-        fs = np.asarray(fs, dtype=np.int32)
-        ls = np.asarray(ls, dtype=np.int32)
-        # Component-local link ids: the shared _loc scratch maps global
-        # slots to 0..nl-1, and its trailing cell is the sentinel column
-        # the _PAD entries resolve to.
-        loc = self._loc
-        loc[ls] = np.arange(nl, dtype=np.int32)
-        loc[len(loc) - 1] = nl
-        rows = loc[self._f_links[fs]]          # nf × W local link ids
-        caps = self._f_cap[fs]
-        avail = self._l_cap[ls].copy()
+        # nf × width component-local link ids: a link's id is its rank
+        # in the sorted *ls*.  Shorter paths are padded with a slot past
+        # every link's, which ranks as the sentinel id nl; no link reads
+        # its column.
+        ls = np.sort(np.asarray(ls, dtype=np.intp))
+        pad = (self._nl,) * max(map(len, paths))
+        rows = np.searchsorted(ls, np.fromiter(
+            chain.from_iterable(p + pad[len(p):] for p in paths),
+            dtype=np.intp, count=nf * len(pad))).reshape(nf, len(pad))
+        caps = np.array(caps)
+        avail = self._l_cap[ls]
         rates = np.zeros(nf)
         sat_eps = _EPS * np.maximum(avail, 1.0)
         unf = np.ones(nf, dtype=bool)
@@ -927,7 +759,8 @@ class FlowNetwork:
                 stats.record_stalemate()
                 break  # numerical stalemate; rates are already near-fair
             unf &= ~newly
-        self._f_rate[fs] = rates
+        for f, r in zip(fs, rates.tolist()):
+            f._rate = r
         # Per-link used-rate: bincount accumulates weights sequentially in
         # input order == flow creation order, matching the scalar loop.
         l_used[ls] = np.bincount(
@@ -948,7 +781,7 @@ class FlowNetwork:
             stats.flows_touched += len(live)
             stats.links_touched += self._nl
             self._dirty.clear()
-            progressive_fill([self._objs[s] for s in live],
+            progressive_fill(list(live),
                              [self._materialize(i)
                               for i in range(self._nl)])
             return
@@ -957,25 +790,23 @@ class FlowNetwork:
         todo = list(self._dirty)
         self._dirty.clear()
         flows_of = self._flows_of
-        objs = self._objs
-        seqs = self._seqs
         seen: set[int] = set()
         for seed in todo:
             if seed in seen:
                 continue
             # Walk this connected component of the flow–link graph.
             comp_links = [seed]
-            comp_flows: list[int] = []
-            seen_flows: set[int] = set()
+            comp_flows: list[NetFlow] = []
+            seen_flows: set[NetFlow] = set()
             seen.add(seed)
             stack = [seed]
             while stack:
                 li = stack.pop()
-                for fslot in flows_of[li]:
-                    if fslot not in seen_flows:
-                        seen_flows.add(fslot)
-                        comp_flows.append(fslot)
-                        for lj in objs[fslot]._lslots:
+                for flow in flows_of[li]:
+                    if flow not in seen_flows:
+                        seen_flows.add(flow)
+                        comp_flows.append(flow)
+                        for lj in flow._lslots:
                             if lj not in seen:
                                 seen.add(lj)
                                 comp_links.append(lj)
@@ -983,88 +814,19 @@ class FlowNetwork:
             # Canonical creation order: BFS discovery order depends on set
             # iteration, and the float sum behind each link's used_rate
             # must be run-to-run and mode-to-mode deterministic.
-            comp_flows.sort(key=seqs.__getitem__)
+            comp_flows.sort(key=attrgetter("_seq"))
             self._fill_vec(comp_flows, comp_links, stats)
 
     def _flush(self) -> None:
-        """Coalesced settle + solve + completion drain + wakeup.
-
-        Up to ``_SCALAR_MAX`` live flows the finish scan, the horizon
-        and the sub-resolution drain are Python loops over ``_live``;
-        above that, numpy masks.  Persistent flows hold remaining ==
-        inf, so no scalar loop can select them.
-        """
+        """Coalesced solve + completion drain + wakeup."""
         self._pending = False
         stats = flownet_stats
         stats.solves += 1
         if self._ops_since_flush > 1:
             stats.batch_coalesced += self._ops_since_flush - 1
         self._ops_since_flush = 0
-        now = self.env.now
-        # Completions below the float clock's resolution at `now` must
-        # drain immediately to avoid a zero-advance wakeup spin (see
-        # FluidResource._rebalance).
-        min_dt = max(math.nextafter(now, math.inf) - now, 1e-12)
-        dirty = self._dirty
-        flows_of = self._flows_of
-        f_rem, f_rate = self._f_rem, self._f_rate
-        while True:
-            live = self._live
-            if len(live) <= _SCALAR_MAX:
-                done = [s for s in live if f_rem.item(s) <= _EPS]
-            else:
-                a = np.asarray(live, dtype=np.intp)
-                done = a[~self._f_pers[a] & (f_rem[a] <= _EPS)].tolist()
-            for s in done:  # creation order
-                flow = self._objs[s]
-                for ls in flow._lslots:
-                    flows_of[ls].discard(s)
-                    dirty.add(ls)
-                self._detach(flow)
-                flow._rem_s = 0.0
-                flow.finished_at = now
-                flow.done.succeed(flow)
-            self._solve()
-            horizon = math.inf
-            if len(live) <= _SCALAR_MAX:
-                for s in live:
-                    r = f_rate.item(s)
-                    if r > 0:
-                        h = f_rem.item(s) / r
-                        if h < horizon:
-                            horizon = h
-                if horizon < min_dt:
-                    # Sub-resolution completions: drain them at the
-                    # current instant.
-                    for s in live:
-                        r = f_rate.item(s)
-                        if r > 0 and f_rem.item(s) / r < min_dt:
-                            f_rem[s] = 0.0
-                    continue
-            else:
-                a = np.asarray(live, dtype=np.intp)
-                rate_a = f_rate[a]
-                m = (rate_a > 0) & ~self._f_pers[a]
-                if m.any():
-                    h = f_rem[a[m]] / rate_a[m]
-                    horizon = float(h.min())
-                    if horizon < min_dt:
-                        f_rem[a[m][h < min_dt]] = 0.0
-                        continue
-            break
-        cb = self._wakeup_cb
-        if cb is not None and cb.fn is self._wakeup_fn:
-            # Lazy-cancel the superseded wakeup (identity-checked: a
-            # fired slot returns to the pool and may belong to another
-            # scheduler by now).
-            cb.fn = None
-        self._wakeup_cb = (self.env.call_later(horizon, self._wakeup_fn)
-                           if horizon != math.inf else None)
+        self._complete()
 
-    # Kept under its historical name for the sibling FluidResource's sake:
-    # a flush *is* the rebalance, now coalesced.
+    # The shared wakeup settles and rebalances; for a network the
+    # rebalance is a flush.
     _rebalance = _flush
-
-    def _wakeup(self) -> None:
-        self._settle()
-        self._flush()

@@ -227,6 +227,32 @@ class TestFlowNetworkDynamics:
         with pytest.raises(SimulationError):
             net1.transfer([lk], 10.0)
 
+    @pytest.mark.parametrize("work", [-1.0, math.nan])
+    def test_bad_work_rejected_without_side_effects(self, work):
+        """Negative or NaN work raises before the network changes.
+
+        Accepted, a negative transfer finished at once with
+        ``remaining == -1.0`` and a NaN one never finished while holding
+        its fair share.  The refused transfer at t = 0.3 must not settle
+        either: an extra settle there rounds the flows' remaining
+        differently.
+        """
+        def run(bad):
+            env = Environment()
+            net, L = make_net(env, cap=10.0)
+            path = [L["tx0"], L["rx1"]]
+            a = net.transfer(path, 100.0)
+            b = net.transfer(path, 100.0, cap=7.0 / 3)
+            env.run(until=0.3)
+            if bad is not None:
+                with pytest.raises(SimulationError):
+                    net.transfer(path, bad)
+            env.run(until=1.0)
+            busy = net.busy_time(L["tx0"])
+            return busy, a.remaining, b.remaining, len(net.flows)
+
+        assert run(work) == run(None)
+
     def test_zero_byte_transfer_completes_immediately(self):
         env = Environment()
         net, L = make_net(env)
@@ -258,8 +284,9 @@ class TestSettleAccountingExact:
     applies the per-object arithmetic (``remaining -= rate*dt`` clamped at
     zero, class bytes added flow by flow in creation order and link by
     link along each path, busy integral ``+= used*dt``).  Bursts of
-    equal-sized flows complete at one instant, so freed slots are reused
-    by the next burst; populations straddle ``_SCALAR_MAX``.
+    equal-sized flows complete at one instant, and populations straddle
+    ``_SCALAR_MAX``, so the one settle loop is pinned on large live
+    populations as well as small ones.
     """
 
     LABELS = ("store:w", "store:r", "store:w", "tenant:shuffle", "",
@@ -284,7 +311,7 @@ class TestSettleAccountingExact:
         def settle():
             dt = env.now - last[0]
             if dt > 0:
-                live = [f for f in created if f._slot >= 0]
+                live = [f for f in created if f._attached]
                 sizes["small" if len(live) <= _SCALAR_MAX else "large"] += 1
                 expect = {}
                 for f in live:  # creation order
@@ -329,7 +356,7 @@ class TestSettleAccountingExact:
                 nodes = range(3 if small else n_nodes)
                 yield env.timeout(30.0 if step % 50 == 49 else
                                   rng.choice((0.0, rng.uniform(0.05, 2.0))))
-                live = [f for f in created if f._slot >= 0]
+                live = [f for f in created if f._attached]
                 roll = rng.random()
                 if roll < 0.45:
                     # A burst of equal flows on one path: they finish
@@ -360,7 +387,7 @@ class TestSettleAccountingExact:
         assert not mismatches
         assert sizes["small"] and sizes["large"]
         for f in created:
-            if f._slot < 0 and not f.persistent and f.done.ok:
+            if not f._attached and not f.persistent and f.done.ok:
                 assert f.remaining == 0.0
             else:
                 assert f.remaining == oracle_rem[f]
@@ -395,8 +422,8 @@ def _both_branches(fn):
 
 
 class TestFillBranchesExact:
-    """The scalar and numpy branches of ``_fill_vec`` and ``_flush``
-    compute the same floats, compared with ``==``."""
+    """The scalar and numpy branches of ``_fill_vec`` compute the same
+    floats, alone and inside a flush, compared with ``==``."""
 
     @settings(max_examples=200, deadline=None)
     @given(n_nodes=st.integers(2, 6),
@@ -419,11 +446,12 @@ class TestFillBranchesExact:
         ls = list(range(net._nl))
 
         def fill():
-            net._f_rate[:] = -1.0
+            for f in fs:
+                f._rate = -1.0
             net._l_used[:] = -1.0
             stats = FlowNetStats()
             net._fill_vec(fs, ls, stats)
-            return (net._f_rate[fs].tolist(), net._l_used[ls].tolist(),
+            return ([f._rate for f in fs], net._l_used[ls].tolist(),
                     stats.rounds, stats.stalemates)
 
         vec, scalar = _both_branches(fill)
@@ -449,7 +477,7 @@ class TestFillBranchesExact:
             net._flush()
             after = flownet.flownet_stats.snapshot()
             wake = [t for t, _c, cb in env._queue if cb is net._wakeup_cb]
-            return ([(f._slot >= 0, f.remaining, f._rate, f.finished_at,
+            return ([(f._attached, f.remaining, f._rate, f.finished_at,
                       f.done.triggered) for f in flows],
                     net._l_used[:net._nl].tolist(), wake,
                     {k: after[k] - before[k] for k in after})

@@ -232,6 +232,29 @@ class TestFluidResource:
         with pytest.raises(SimulationError):
             res.submit(work=1, cap=0)
 
+    @pytest.mark.parametrize("work", [-1.0, math.nan])
+    def test_bad_work_rejected_without_side_effects(self, work):
+        """Negative or NaN work raises before the resource changes.
+
+        A NaN flow would never finish: its horizon is NaN, so no wakeup
+        is armed.  The refused submit at t = 0.3 must not settle either:
+        an extra settle there rounds both flows' remaining differently.
+        """
+        def run(bad):
+            env = Environment()
+            res = FluidResource(env, capacity=10.0)
+            a = res.submit(100.0)
+            b = res.submit(100.0, cap=7.0 / 3)
+            env.run(until=0.3)
+            if bad is not None:
+                with pytest.raises(SimulationError):
+                    res.submit(bad)
+            env.run(until=1.0)
+            busy = res.busy_time()
+            return busy, a.remaining, b.remaining, len(res.flows)
+
+        assert run(work) == run(None)
+
     def test_adjust_cap_rejects_foreign_flow(self):
         """A cap change must go through the flow's own resource."""
         env = Environment()
