@@ -72,12 +72,12 @@ def baseline_run(alpha: float, n_tasks: int = 2048,
     mon.add_multi_probe(("victim.cpu", "victim.tx", "victim.rx"),
                         class_probe(dep.victims))
     # Lazy: repro.metrics pulls in repro.exec, which imports this module.
-    from ..metrics.pressure import attach_fill_probes, attach_pressure_probes
+    from ..metrics.pressure import attach_fill_probes
     from ..metrics.registry import metrics_registry
     # Process-wide counters: start each scenario from zero so payloads
     # stay pure functions of the spec (serial == stealing backend).
     metrics_registry.reset()
-    attach_pressure_probes(mon)
+    metrics_registry.attach(mon, "pressure")
     attach_fill_probes(mon, dep.fs)
     mon.start()
     wf = dd_bag(n_tasks=n_tasks, file_size=file_size)

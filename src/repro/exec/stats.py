@@ -1,17 +1,19 @@
-"""Process-wide executor counters (the ``flownet_stats`` pattern).
+"""Process-wide executor counters (one :class:`~repro.counters.Counters`).
 
 Counted in the *parent* process only: store lookups happen before fan-out
 and payloads are stored when they come back, so the counters are coherent
-regardless of backend.  ``repro.metrics.exec`` exposes them as snapshots
-and Monitor probes.
+regardless of backend.  ``metrics_registry`` snapshots them in its
+``executor`` group and charts them with ``metrics_registry.attach``.
 """
 
 from __future__ import annotations
 
+from ..counters import Counters
+
 __all__ = ["ExecStats", "exec_stats"]
 
 
-class ExecStats:
+class ExecStats(Counters):
     """Cumulative sweep-executor counters; reset per experiment run.
 
     ``scenarios_run`` counts simulations actually executed (any backend).
@@ -48,18 +50,9 @@ class ExecStats:
                  "store_gc_orphans", "store_bytes",
                  "sched_workers_spawned", "sched_worker_restarts",
                  "sched_requeues", "sched_heartbeats")
+    _CAST = int
     __slots__ = _COUNTERS
 
-    def __init__(self):
-        self.reset()
 
-    def reset(self) -> None:
-        for name in self._COUNTERS:
-            setattr(self, name, 0)
-
-    def snapshot(self) -> dict[str, int]:
-        return {name: int(getattr(self, name)) for name in self._COUNTERS}
-
-
-#: Shared instance imported by ``repro.metrics.exec`` and the benchmarks.
+#: Shared instance imported by the executor, the registry and benchmarks.
 exec_stats = ExecStats()

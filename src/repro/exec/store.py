@@ -33,8 +33,8 @@ capacity planner share:
   lock-free behavior.
 * **Counters.**  Hits, misses, invalidations, stores, evictions,
   expirations, GC'd orphans and the live byte gauge all land on
-  :data:`~repro.exec.stats.exec_stats` (``store_*``), exported through
-  ``repro.metrics.exec`` like every other executor counter.
+  :data:`~repro.exec.stats.exec_stats` (``store_*``), read through
+  ``metrics_registry`` like every other executor counter.
 
 The store also keeps per-spec **runtime estimates** (seconds of wall
 time from the last execution, keyed by ``spec_key`` so they survive

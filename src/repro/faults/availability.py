@@ -7,15 +7,17 @@ replica or had to reconstruct from parity (and how long that took), how
 many fragments/stripes were lost, how large the repair backlog is, and
 the per-stripe MTTR ledger the SLO-driven RepairDaemon maintains.
 
-Like ``faults.stats`` the module is dependency-free on purpose: it is
-imported from ``store.client``, ``fs.memfss`` and ``fs.scavenger``
-without creating package cycles.  The probe family surfacing these
-counters on a monitor lives in :mod:`repro.metrics.availability`.
+Like ``faults.stats`` the module depends only on :mod:`repro.counters`
+on purpose: it is imported from ``store.client``, ``fs.memfss`` and
+``fs.scavenger`` without creating package cycles.  A monitor charts
+these counters through ``metrics_registry.attach(mon, "availability")``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from ..counters import Counters
 
 __all__ = ["AvailabilityStats", "avail_stats", "DegradedStripe"]
 
@@ -46,7 +48,7 @@ class DegradedStripe:
                 "at": self.at}
 
 
-class AvailabilityStats:
+class AvailabilityStats(Counters):
     """Cumulative availability counters (reset per experiment run)."""
 
     _COUNTERS = (
@@ -63,13 +65,10 @@ class AvailabilityStats:
         "degraded_read_s", "reconstruction_s", "reconstructed_bytes",
         "repair_backlog_bytes", "stripe_mttr", "_degraded_since",
         "unavailable_s")
-
-    def __init__(self):
-        self.reset()
+    _CAST = float
 
     def reset(self) -> None:
-        for name in self._COUNTERS:
-            setattr(self, name, 0)
+        super().reset()
         #: Virtual seconds spent in reads served by a non-primary copy.
         self.degraded_read_s = 0.0
         #: Virtual seconds spent rebuilding stripes from parity siblings.
@@ -123,8 +122,7 @@ class AvailabilityStats:
         return sum(self.stripe_mttr) / len(self.stripe_mttr)
 
     def snapshot(self) -> dict[str, float]:
-        out: dict[str, float] = {name: float(getattr(self, name))
-                                 for name in self._COUNTERS}
+        out = super().snapshot()
         out["degraded_read_s"] = self.degraded_read_s
         out["reconstruction_s"] = self.reconstruction_s
         out["reconstructed_bytes"] = self.reconstructed_bytes
@@ -133,10 +131,6 @@ class AvailabilityStats:
         out["unavailable_s"] = self.unavailable_s
         out["stripe_mttr_s"] = self.mttr()
         return out
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        hot = {k: v for k, v in self.snapshot().items() if v}
-        return f"<AvailabilityStats {hot}>"
 
 
 avail_stats = AvailabilityStats()

@@ -7,16 +7,19 @@ retries/hedges/timeouts/degraded reads, and the scavenger's evacuation
 path plus the repair daemon record recoveries.  MTTR is derived from
 matched fault→recovery pairs keyed by node.
 
-The module is dependency-free on purpose: it is imported from
-``store.client`` and ``fs.scavenger`` without creating package cycles.
+The module depends only on :mod:`repro.counters` on purpose: it is
+imported from ``store.client`` and ``fs.scavenger`` without creating
+package cycles.
 """
 
 from __future__ import annotations
 
+from ..counters import Counters
+
 __all__ = ["FaultStats", "fault_stats"]
 
 
-class FaultStats:
+class FaultStats(Counters):
     """Cumulative robustness counters (reset per experiment run)."""
 
     _COUNTERS = (
@@ -31,13 +34,10 @@ class FaultStats:
     )
     __slots__ = _COUNTERS + ("repaired_bytes", "repair_times", "_open",
                              "storm_schedule")
-
-    def __init__(self):
-        self.reset()
+    _CAST = float
 
     def reset(self) -> None:
-        for name in self._COUNTERS:
-            setattr(self, name, 0)
+        super().reset()
         self.repaired_bytes = 0.0
         #: Completed fault→recovery durations (seconds of virtual time).
         self.repair_times: list[float] = []
@@ -81,17 +81,12 @@ class FaultStats:
         return sum(self.repair_times) / len(self.repair_times)
 
     def snapshot(self) -> dict[str, float]:
-        out: dict[str, float] = {name: float(getattr(self, name))
-                                 for name in self._COUNTERS}
+        out = super().snapshot()
         out["repaired_bytes"] = float(self.repaired_bytes)
         out["open_faults"] = float(len(self._open))
         out["mttr_s"] = self.mttr()
         out["storm_events"] = float(len(self.storm_schedule))
         return out
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        hot = {k: v for k, v in self.snapshot().items() if v}
-        return f"<FaultStats {hot}>"
 
 
 fault_stats = FaultStats()

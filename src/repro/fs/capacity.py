@@ -14,8 +14,8 @@ applies it to capacity on the *write* path.  Three pieces:
   write reservations, so a window of concurrent stripe puts does not
   over-commit one store between the check and the put landing.
 - :class:`PressureStats` / :data:`pressure_stats` — process-wide
-  counters (the ``planner_stats`` pattern), surfaced as monitor probes
-  and report rows by :mod:`repro.metrics.pressure`.
+  counters (one :class:`~repro.counters.Counters`), snapshotted and
+  charted as ``pressure`` by the metrics registry.
 
 Everything here is plain Python — no simulated events — so enabling the
 capacity guard cannot perturb placement or timing while no store is under
@@ -25,6 +25,8 @@ pressure (the Fig. 2 golden bit-identity contract).
 from __future__ import annotations
 
 from typing import AbstractSet, Callable, Mapping, Sequence
+
+from ..counters import Counters
 
 __all__ = ["PressureStats", "pressure_stats", "CapacityLedger",
            "select_targets"]
@@ -118,9 +120,9 @@ class CapacityLedger:
         return self._inflight.get(name, 0.0)
 
 
-class PressureStats:
-    """Process-wide capacity-pressure counters (the ``planner_stats``
-    pattern: one shared instance, reset per experiment).
+class PressureStats(Counters):
+    """Process-wide capacity-pressure counters (one shared
+    :class:`~repro.counters.Counters`, reset per experiment).
 
     Write path: ``writes_checked`` counts guarded stripe writes,
     ``spilled_writes``/``spill_distance`` the proactive chain descents,
@@ -140,20 +142,6 @@ class PressureStats:
                  "evac_spills", "evac_drops", "repair_skips",
                  "admission_checks", "admission_rejections", "degraded_rows")
     __slots__ = _COUNTERS
-
-    def __init__(self):
-        self.reset()
-
-    def reset(self) -> None:
-        for name in self._COUNTERS:
-            setattr(self, name, 0)
-
-    def snapshot(self) -> dict[str, int]:
-        return {name: getattr(self, name) for name in self._COUNTERS}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        hot = {k: v for k, v in self.snapshot().items() if v}
-        return f"<PressureStats {hot}>"
 
 
 pressure_stats = PressureStats()

@@ -19,7 +19,7 @@ Immutability is what makes the two amortizations here safe:
   per-stripe scalar loops on the write/read/unlink/migrate paths.
 
 Planner cache behaviour is observable through :data:`planner_stats`
-(surfaced as monitor probes by :mod:`repro.metrics.placement`).
+(snapshotted as ``planner`` by the metrics registry).
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
+from ..counters import Counters
 from ..hashing import HashFamily, HrwHasher, MIX64, WeightedClassHrw
 from ..hashing.hrw import get_family, stable_digest
 from .erasure import group_layout, parity_key
@@ -43,7 +44,7 @@ __all__ = ["ClassSpec", "PlacementMap", "StripePlan", "PlannerStats",
            "assign_coded_scalar"]
 
 
-class PlannerStats:
+class PlannerStats(Counters):
     """Process-wide planner counters (policy interning + stripe plans).
 
     ``stripes_resolved`` counts keys whose placement was served through a
@@ -51,25 +52,9 @@ class PlannerStats:
     at a time.
     """
 
-    __slots__ = ("policy_hits", "policy_misses", "plan_hits", "plan_misses",
+    _COUNTERS = ("policy_hits", "policy_misses", "plan_hits", "plan_misses",
                  "stripes_resolved")
-
-    def __init__(self):
-        self.reset()
-
-    def reset(self) -> None:
-        self.policy_hits = 0
-        self.policy_misses = 0
-        self.plan_hits = 0
-        self.plan_misses = 0
-        self.stripes_resolved = 0
-
-    def snapshot(self) -> dict[str, int]:
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        parts = ", ".join(f"{k}={v}" for k, v in self.snapshot().items())
-        return f"<PlannerStats {parts}>"
+    __slots__ = _COUNTERS
 
 
 planner_stats = PlannerStats()

@@ -4,7 +4,7 @@ from .hrw import (HashFamily, HrwHasher, MIX64, TR98, WeightedClassHrw, fnv1a,
                   hash_mix64, hash_mix64_batch, hash_tr98, hash_tr98_batch,
                   stable_digest)
 from .weights import (WeightFitStats, achieved_fractions, calibrate_weights,
-                      clear_weight_fit_cache, own_victim_weights,
+                      own_victim_weights,
                       two_class_weights, weight_fit_stats)
 from .consistent import ConsistentHashRing
 from .modulo import ModuloPlacer
@@ -15,6 +15,5 @@ __all__ = [
     "fnv1a", "stable_digest",
     "two_class_weights", "own_victim_weights", "achieved_fractions",
     "calibrate_weights", "WeightFitStats", "weight_fit_stats",
-    "clear_weight_fit_cache",
     "ConsistentHashRing", "ModuloPlacer",
 ]

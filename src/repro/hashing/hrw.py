@@ -151,17 +151,16 @@ def hash_tr98_batch2(seeds: np.ndarray, digests: np.ndarray) -> np.ndarray:
 
 
 class HashFamily:
-    """A scalar hash, its modulus, and an explicit vectorized variant.
+    """A scalar hash, its modulus, and its two vectorized kernels.
 
     *batch_fn* is ``(seed, uint64 array) -> uint64 array``, semantically
-    ``[fn(seed, d) for d in digests]``.  Families constructed without one
-    (custom/experimental hashes) fall back to a scalar loop — correct for
-    any *fn* whose range fits uint64, just not vectorized — instead of
-    raising at batch time deep inside a run.
+    ``[fn(seed, d) for d in digests]``; *batch2_fn* is the grid form
+    ``(uint64 seeds, uint64 digests) -> uint64 array`` of shape
+    ``(len(seeds), len(digests))``, row *i* bit-equal to
+    ``batch_fn(seeds[i], digests)``.
     """
 
-    def __init__(self, name: str, fn, modulus: int, batch_fn=None,
-                 batch2_fn=None):
+    def __init__(self, name: str, fn, modulus: int, batch_fn, batch2_fn):
         self.name = name
         self.fn = fn
         self.modulus = modulus
@@ -173,25 +172,13 @@ class HashFamily:
 
     def batch(self, seed: int, digests: np.ndarray) -> np.ndarray:
         """Vectorized hash of many digests with one seed (uint64 array)."""
-        d = np.asarray(digests, dtype=np.uint64)
-        if self.batch_fn is not None:
-            return self.batch_fn(seed, d)
-        return np.fromiter((self.fn(seed, int(x)) for x in d),
-                           dtype=np.uint64, count=len(d))
+        return self.batch_fn(seed, np.asarray(digests, dtype=np.uint64))
 
     def batch2(self, seeds: np.ndarray, digests: np.ndarray) -> np.ndarray:
         """Grid hash: shape ``(len(seeds), len(digests))`` uint64, row
-        *i* bit-equal to ``batch(seeds[i], digests)``.  Families without
-        a grid kernel fall back to that per-row batch — correct for any
-        *fn*, just not single-broadcast."""
-        s = np.asarray(seeds, dtype=np.uint64)
-        d = np.asarray(digests, dtype=np.uint64)
-        if self.batch2_fn is not None:
-            return self.batch2_fn(s, d)
-        scores = np.empty((len(s), len(d)), dtype=np.uint64)
-        for i, seed in enumerate(s):
-            scores[i] = self.batch(int(seed), d)
-        return scores
+        *i* bit-equal to ``batch(seeds[i], digests)``."""
+        return self.batch2_fn(np.asarray(seeds, dtype=np.uint64),
+                              np.asarray(digests, dtype=np.uint64))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<HashFamily {self.name}>"

@@ -33,6 +33,7 @@ from typing import Hashable
 
 import numpy as np
 
+from ..counters import Counters
 from .hrw import HashFamily, MIX64, WeightedClassHrw, get_family
 
 __all__ = [
@@ -42,38 +43,7 @@ __all__ = [
     "calibrate_weights",
     "WeightFitStats",
     "weight_fit_stats",
-    "clear_weight_fit_cache",
 ]
-
-
-class WeightFitStats:
-    """Process-wide calibration counters (the ``planner_stats`` pattern).
-
-    ``fit_hits`` counts multi-class calibrations answered from the memo,
-    ``fit_misses`` the numeric fits actually run, and ``closed_form``
-    the two-class requests solved analytically (never cached — the
-    closed form is cheaper than a lookup).
-    """
-
-    _COUNTERS = ("fit_hits", "fit_misses", "closed_form")
-    __slots__ = _COUNTERS
-
-    def __init__(self):
-        self.reset()
-
-    def reset(self) -> None:
-        for name in self._COUNTERS:
-            setattr(self, name, 0)
-
-    def snapshot(self) -> dict[str, int]:
-        return {name: getattr(self, name) for name in self._COUNTERS}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        parts = ", ".join(f"{k}={v}" for k, v in self.snapshot().items())
-        return f"<WeightFitStats {parts}>"
-
-
-weight_fit_stats = WeightFitStats()
 
 #: Memoized numeric fits: recurring market states (same rounded targets,
 #: same family and fit parameters) skip the sampled iteration entirely.
@@ -84,10 +54,31 @@ _FIT_CACHE_SIZE = 256
 _FIT_KEY_DECIMALS = 6
 
 
-def clear_weight_fit_cache() -> None:
-    """Drop memoized fits and reset the fit counters (tests)."""
-    _FIT_CACHE.clear()
-    weight_fit_stats.reset()
+class WeightFitStats(Counters):
+    """Process-wide calibration counters (a :class:`~repro.counters.Counters`).
+
+    ``fit_hits`` counts multi-class calibrations answered from the memo,
+    ``fit_misses`` the numeric fits actually run, and ``closed_form``
+    the two-class requests solved analytically (never cached — the
+    closed form is cheaper than a lookup).
+
+    :meth:`reset` drops the fit memo with the counters.  Zeroing
+    ``fit_hits``/``fit_misses`` while the memo survived would make them
+    depend on process warmth — a warm process reports hits where a cold
+    one reports misses for the same scenario — so a scenario reset must
+    start cold.  The memo still pays for itself *within* a scenario,
+    which is the market controller's per-epoch retune hot path.
+    """
+
+    _COUNTERS = ("fit_hits", "fit_misses", "closed_form")
+    __slots__ = _COUNTERS
+
+    def reset(self) -> None:
+        super().reset()
+        _FIT_CACHE.clear()
+
+
+weight_fit_stats = WeightFitStats()
 
 
 def two_class_weights(fraction_first: float,

@@ -1,18 +1,19 @@
-"""Process-wide market counters (the ``planner_stats`` pattern).
+"""Process-wide market counters (one :class:`~repro.counters.Counters`).
 
 One instance per process; scenario executors reset it at the top of each
 run so payloads stay pure functions of the spec (see the determinism
-contract in :mod:`repro.exec`).  Surfaced as monitor probes by
-:mod:`repro.metrics.market` and reset uniformly through the
-:class:`~repro.metrics.registry.MetricsRegistry`.
+contract in :mod:`repro.exec`).  Reset, snapshotted and charted
+uniformly through the :class:`~repro.metrics.registry.MetricsRegistry`.
 """
 
 from __future__ import annotations
 
+from ..counters import Counters
+
 __all__ = ["MarketStats", "market_stats"]
 
 
-class MarketStats:
+class MarketStats(Counters):
     """Cumulative marketplace counters.
 
     ``epochs`` counts controller clearing rounds, ``retunes`` the rounds
@@ -31,21 +32,6 @@ class MarketStats:
                  "stripes_migrated", "bytes_migrated", "bytes_freed",
                  "files_deferred")
     __slots__ = _COUNTERS
-
-    def __init__(self):
-        self.reset()
-
-    def reset(self) -> None:
-        for name in self._COUNTERS:
-            setattr(self, name, 0)
-
-    def snapshot(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in self._COUNTERS}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        parts = ", ".join(f"{k}={v}" for k, v in self.snapshot().items()
-                          if v)
-        return f"<MarketStats {parts or 'idle'}>"
 
 
 market_stats = MarketStats()

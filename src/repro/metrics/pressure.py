@@ -1,59 +1,16 @@
-"""Capacity-pressure observability.
+"""Per-class store fill: how full each placement class is.
 
-The capacity-aware write path (:mod:`repro.fs.capacity`) keeps
-process-wide counters — writes checked against the ledger, proactive and
-reactive spills down the HRW chain, cumulative spill distance, replica
-shortfalls, evacuation spills/drops, capacity-blocked repairs, and
-admission-control verdicts.  This module exposes them as snapshots for
-reports and as :class:`~repro.sim.monitor.Monitor` probes, plus
-per-class store fill-ratio gauges so pressure can be charted next to
-CPU/NIC utilization.
+The capacity-pressure *counters* (spills, shortfalls, admission
+verdicts) are charted through ``metrics_registry.attach(mon,
+"pressure")``; this module adds the per-class fill-ratio gauges so
+pressure can be charted next to CPU/NIC utilization.
 """
 
 from __future__ import annotations
 
-from ..fs.capacity import pressure_stats
 from ..sim.monitor import Monitor, TimeSeries
-from .report import render_table
 
-__all__ = ["pressure_counters", "attach_pressure_probes",
-           "attach_fill_probes", "class_fill_ratios",
-           "render_pressure_report"]
-
-#: Counters worth charting over time (all cumulative).
-_PROBE_FIELDS = ("writes_checked", "spilled_writes", "spill_distance",
-                 "reactive_spills", "replica_shortfall", "exhausted_writes",
-                 "evac_spills", "evac_drops", "repair_skips",
-                 "admission_checks", "admission_rejections",
-                 "degraded_rows")
-
-
-def pressure_counters() -> dict[str, float]:
-    """Current capacity-pressure counters (cumulative since reset)."""
-    return pressure_stats.snapshot()
-
-
-def attach_pressure_probes(monitor: Monitor, prefix: str = "pressure",
-                           ) -> dict[str, TimeSeries]:
-    """Sample every pressure counter as a ``<prefix>.<field>`` series.
-
-    Counters are cumulative; diff consecutive samples for rates.  The
-    derived ``<prefix>.mean_spill_distance`` gauge tracks how far below
-    its ideal rank the average spilled stripe landed.
-    """
-    probes = {
-        f"{prefix}.{field}": (lambda f=field:
-                              float(getattr(pressure_stats, f)))
-        for field in _PROBE_FIELDS}
-
-    def _mean_distance() -> float:
-        spills = pressure_stats.spilled_writes + pressure_stats.evac_spills
-        if spills == 0:
-            return 0.0
-        return pressure_stats.spill_distance / spills
-
-    probes[f"{prefix}.mean_spill_distance"] = _mean_distance
-    return monitor.add_probes(probes)
+__all__ = ["attach_fill_probes", "class_fill_ratios"]
 
 
 def class_fill_ratios(fs) -> dict[str, float]:
@@ -83,18 +40,11 @@ def attach_fill_probes(monitor: Monitor, fs, prefix: str = "fill",
     follow membership changes (evictions, crashes) automatically — but
     the set of charted classes is fixed at attach time.
     """
-    probes = {
-        f"{prefix}.{cls}": (lambda c=cls:
-                            float(class_fill_ratios(fs).get(c, 0.0)))
-        for cls in fs.policy.classes}
-    return monitor.add_probes(probes)
+    classes = tuple(fs.policy.classes)
 
+    def probe() -> tuple[float, ...]:
+        ratios = class_fill_ratios(fs)
+        return tuple(ratios.get(cls, 0.0) for cls in classes)
 
-def render_pressure_report(title: str = "capacity-pressure counters",
-                           ) -> str:
-    """The non-zero pressure counters as a fixed-width text table."""
-    rows = [(name, f"{value:.6g}")
-            for name, value in pressure_counters().items() if value]
-    if not rows:
-        rows = [("(no pressure recorded)", "")]
-    return render_table(("counter", "value"), rows, title=title)
+    return monitor.add_multi_probe(
+        tuple(f"{prefix}.{cls}" for cls in classes), probe)

@@ -1,70 +1,45 @@
-"""The single entry point over every process-wide counter object.
+"""The one counter surface: every process-wide ``*_stats`` object by name.
 
-The repo accumulated one ``*_stats`` singleton per subsystem — pressure,
-faults, placement planner, flow solver, weight-fit memo, the lease
-market, the sweep executor — and every scenario executor had to know
-which ones to reset to keep payloads pure functions of their spec (the
-determinism contract: a scenario must see identical counters whether it
-runs first in a process or fiftieth).  The :class:`MetricsRegistry`
-replaces that folklore with two named groups:
+Each subsystem keeps one :class:`~repro.counters.Counters` singleton —
+pressure, faults, availability, placement planner, flow solver, weight
+fit, the lease market, the sweep executor — and every scenario executor
+has to reset the right ones to keep payloads pure functions of their
+spec (the determinism contract: a scenario must see identical counters
+whether it runs first in a process or fiftieth).  The
+:class:`MetricsRegistry` is a fixed table of them in two groups:
 
 * ``scenario`` — counters scoped to one simulated scenario.  Executors
   call ``metrics_registry.reset()`` once at the top instead of picking
-  singletons by hand; adding a new subsystem means registering its stats
-  object here, not editing every executor.
+  singletons by hand.
 * ``executor`` — counters scoped to the *process* (sweep cache
   hits/misses, worker crashes).  Deliberately **not** touched by a
   scenario reset: a warm-cache assertion must survive the scenarios it
   measures.
 
-Every registered object obeys the tiny stats protocol the singletons
-already share: ``reset()`` and ``snapshot() -> dict``.
+:meth:`MetricsRegistry.attach` charts one object on a
+:class:`~repro.sim.monitor.Monitor`: one ``<name>.<key>`` series per
+snapshot key, all filled from a single ``snapshot()`` per tick.
 """
 
 from __future__ import annotations
 
-from typing import Protocol
+from ..counters import Counters
+from ..sim.monitor import Monitor, TimeSeries
 
 __all__ = ["MetricsRegistry", "metrics_registry"]
 
 
-class StatsLike(Protocol):
-    """The counter-object protocol every ``*_stats`` singleton obeys."""
-
-    def reset(self) -> None: ...          # pragma: no cover - protocol
-    def snapshot(self) -> dict: ...       # pragma: no cover - protocol
-
-
 class MetricsRegistry:
-    """Named groups of counter singletons with uniform reset/snapshot."""
+    """Named groups of counter objects with uniform reset/snapshot."""
 
-    def __init__(self):
-        self._groups: dict[str, dict[str, StatsLike]] = {}
-
-    def register(self, name: str, stats: StatsLike, *,
-                 group: str = "scenario") -> None:
-        """Add *stats* under *name*; re-registering a name replaces it
-        (same-object re-registration is an idempotent no-op)."""
-        for members in self._groups.values():
-            members.pop(name, None)
-        self._groups.setdefault(group, {})[name] = stats
-
-    def names(self, group: str | None = None) -> list[str]:
-        if group is not None:
-            return sorted(self._groups.get(group, {}))
-        return sorted(n for members in self._groups.values()
-                      for n in members)
+    def __init__(self, groups: dict[str, dict[str, Counters]]):
+        self._groups = groups
 
     def reset(self, group: str = "scenario") -> None:
         """Zero every counter in *group* (scenario executors call this
         once at the top of each run)."""
         for stats in self._groups.get(group, {}).values():
             stats.reset()
-
-    def reset_all(self) -> None:
-        for members in self._groups.values():
-            for stats in members.values():
-                stats.reset()
 
     def snapshot(self, group: str | None = None) -> dict[str, dict]:
         """``{name: counters}`` over *group* (or everything)."""
@@ -76,26 +51,16 @@ class MetricsRegistry:
                 out[name] = stats.snapshot()
         return out
 
-
-class _WeightFitProbe:
-    """Scenario-reset adapter for the weight-fit memo.
-
-    Zeroing ``fit_hits``/``fit_misses`` while the fit cache survives
-    would make the counters process-warmth-dependent — a warm process
-    reports hits where a cold one reports misses for the same scenario,
-    breaking the determinism contract above.  So the scenario reset
-    drops the cache along with the counters; the memo still pays for
-    itself *within* a scenario, which is the market controller's
-    per-epoch retune hot path it exists for.
-    """
-
-    def reset(self) -> None:
-        from ..hashing.weights import clear_weight_fit_cache
-        clear_weight_fit_cache()
-
-    def snapshot(self) -> dict:
-        from ..hashing.weights import weight_fit_stats
-        return weight_fit_stats.snapshot()
+    def attach(self, monitor: Monitor, name: str) -> dict[str, TimeSeries]:
+        """Sample counter object *name* on *monitor*: one
+        ``<name>.<key>`` series per snapshot key.  Counters are
+        cumulative (diff consecutive samples for rates); gauges such as
+        ``faults.open_faults`` read as they stand."""
+        members = {n: s for m in self._groups.values() for n, s in m.items()}
+        snapshot = members[name].snapshot
+        return monitor.add_multi_probe(
+            tuple(f"{name}.{key}" for key in snapshot()),
+            lambda: tuple(snapshot().values()))
 
 
 def _default_registry() -> MetricsRegistry:
@@ -106,20 +71,23 @@ def _default_registry() -> MetricsRegistry:
     from ..faults.stats import fault_stats
     from ..fs.capacity import pressure_stats
     from ..fs.placement import planner_stats
+    from ..hashing.weights import weight_fit_stats
     from ..market.stats import market_stats
     from ..sim.flownet import flownet_stats
 
-    registry = MetricsRegistry()
-    registry.register("pressure", pressure_stats)
-    registry.register("faults", fault_stats)
-    registry.register("availability", avail_stats)
-    registry.register("planner", planner_stats)
-    registry.register("solver", flownet_stats)
-    registry.register("weight_fit", _WeightFitProbe())
-    registry.register("market", market_stats)
-    registry.register("exec", exec_stats, group="executor")
-    return registry
+    return MetricsRegistry({
+        "scenario": {
+            "pressure": pressure_stats,
+            "faults": fault_stats,
+            "availability": avail_stats,
+            "planner": planner_stats,
+            "solver": flownet_stats,
+            "weight_fit": weight_fit_stats,
+            "market": market_stats,
+        },
+        "executor": {"exec": exec_stats},
+    })
 
 
-#: Process-wide instance with every known subsystem pre-registered.
+#: Process-wide instance over every subsystem's counters.
 metrics_registry = _default_registry()

@@ -76,6 +76,7 @@ from typing import Iterable
 
 import numpy as np
 
+from ..counters import Counters
 from .fluid import _EPS, _FlowBase, _FlowOwner
 from .kernel import Environment, SimulationError
 
@@ -89,8 +90,8 @@ _INIT_PREFIXES = 4
 _SCALAR_MAX = 32
 
 
-class FlowNetStats:
-    """Process-wide solver counters (the ``planner_stats`` pattern).
+class FlowNetStats(Counters):
+    """Process-wide solver counters (one :class:`~repro.counters.Counters`).
 
     Cumulative; reset per experiment run.  ``solves`` counts coalesced
     flush/solve passes, ``full_solves`` the ones done in ``"reference"``
@@ -105,13 +106,10 @@ class FlowNetStats:
     _COUNTERS = ("solves", "full_solves", "rounds", "flows_touched",
                  "links_touched", "batch_coalesced", "stalemates")
     __slots__ = _COUNTERS + ("_stalemate_warned",)
-
-    def __init__(self):
-        self.reset()
+    _CAST = int
 
     def reset(self) -> None:
-        for name in self._COUNTERS:
-            setattr(self, name, 0)
+        super().reset()
         self._stalemate_warned = False
 
     def record_stalemate(self) -> None:
@@ -123,11 +121,8 @@ class FlowNetStats:
                 "this round; accepting near-fair rates (counted in "
                 "flownet_stats.stalemates)", RuntimeWarning, stacklevel=3)
 
-    def snapshot(self) -> dict[str, int]:
-        return {name: int(getattr(self, name)) for name in self._COUNTERS}
 
-
-#: Shared instance imported by ``repro.metrics.solver`` and the benchmarks.
+#: Shared instance imported by the registry (as ``solver``) and benchmarks.
 flownet_stats = FlowNetStats()
 
 

@@ -105,13 +105,6 @@ class Monitor:
         self.series[name] = ts
         return ts
 
-    def add_probes(self, probes: dict[str, Callable[[], float]],
-                   ) -> dict[str, TimeSeries]:
-        """Register a group of probes at once (e.g. a counter snapshot
-        fanned out per field — see ``repro.metrics.placement``)."""
-        return {name: self.add_probe(name, probe)
-                for name, probe in probes.items()}
-
     def add_multi_probe(self, names: tuple[str, ...],
                         probe: Callable[[], tuple],
                         ) -> dict[str, TimeSeries]:
@@ -120,7 +113,8 @@ class Monitor:
         *probe* returns one float per name; the sampler calls it once per
         tick.  This is the cheap way to sample related quantities that
         share a traversal (e.g. per-class CPU/TX/RX read off each node's
-        counters in a single pass instead of one pass per metric).
+        counters in a single pass instead of one pass per metric, or
+        every key of one counter snapshot — ``metrics_registry.attach``).
         """
         for name in names:
             if name in self.series:

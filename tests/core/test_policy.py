@@ -7,8 +7,7 @@ import pytest
 from repro.core import ClassTarget, DeploymentConfig, PlacementPolicy
 from repro.core.deployment import MemFSSDeployment
 from repro.fs.placement import PlacementMap
-from repro.hashing import (clear_weight_fit_cache, own_victim_weights,
-                           weight_fit_stats)
+from repro.hashing import own_victim_weights, weight_fit_stats
 from repro.units import MB
 
 
@@ -49,7 +48,6 @@ class TestPlacementPolicy:
             ClassTarget(fraction=0.5, weight=1.0)
 
     def test_three_class_calibration_memoized(self):
-        clear_weight_fit_cache()
         weight_fit_stats.reset()
         pol = PlacementPolicy.make({"own": 0.5, "burst": 0.3,
                                     "victim": 0.2})

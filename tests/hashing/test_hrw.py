@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hashing import (HashFamily, HrwHasher, MIX64, TR98,
-                           WeightedClassHrw, hash_mix64, hash_tr98,
-                           stable_digest)
+from repro.hashing import (HrwHasher, MIX64, TR98, WeightedClassHrw,
+                           hash_mix64, hash_tr98, stable_digest)
 
 
 class TestStableDigest:
@@ -225,22 +224,6 @@ class TestWeightedClassHrw:
 
 class TestBatchResolution:
     """The vectorized callables behind the batch-first planner."""
-
-    def test_custom_family_batch_falls_back_to_scalar(self):
-        """A family without a vectorized callable must still batch (via the
-        scalar loop), not raise mid-run."""
-        fam = HashFamily("myfam", lambda s, d: (s * 31 + d) % 1009, 1009)
-        digests = np.arange(20, dtype=np.uint64)
-        out = fam.batch(7, digests)
-        assert out.tolist() == [(7 * 31 + d) % 1009 for d in range(20)]
-
-    def test_custom_family_drives_hasher(self):
-        fam = HashFamily("myfam", lambda s, d: (s ^ d) % 1009, 1009)
-        h = HrwHasher([f"n{i}" for i in range(5)], fam)
-        keys = [f"k{i}" for i in range(50)]
-        digests = np.array([stable_digest(k) for k in keys], dtype=np.uint64)
-        idx = h.place_batch(digests)
-        assert [h.nodes[i] for i in idx] == [h.place(k) for k in keys]
 
     @pytest.mark.parametrize("family", [MIX64, TR98])
     def test_rank_batch_matches_ranked(self, family):

@@ -474,24 +474,3 @@ class TestMetricsRegistry:
         calibrate_weights(fracs)
         assert weight_fit_stats.fit_hits == 1     # memo works in-scenario
         metrics_registry.reset()
-
-    def test_register_replaces(self):
-        from repro.metrics.registry import MetricsRegistry
-
-        class Fake:
-            def __init__(self):
-                self.n = 1
-
-            def reset(self):
-                self.n = 0
-
-            def snapshot(self):
-                return {"n": self.n}
-
-        reg = MetricsRegistry()
-        a, b = Fake(), Fake()
-        reg.register("x", a)
-        reg.register("x", b, group="executor")
-        assert reg.names("scenario") == []
-        reg.reset(group="executor")
-        assert (a.n, b.n) == (1, 0)

@@ -1,11 +1,9 @@
-"""Tests for the availability observability surface (DESIGN.md §15)."""
+"""Tests for the availability counters (DESIGN.md §15)."""
 
 import pytest
 
 from repro.faults import avail_stats
-from repro.metrics import (attach_availability_probes,
-                           availability_counters,
-                           render_availability_report)
+from repro.metrics import metrics_registry
 from repro.sim import Environment
 from repro.sim.monitor import Monitor
 
@@ -21,7 +19,7 @@ def test_counters_snapshot():
     avail_stats.degraded_reads += 3
     avail_stats.record_degraded_read(0.5)
     avail_stats.stripes_lost += 1
-    snap = availability_counters()
+    snap = avail_stats.snapshot()
     assert snap["degraded_reads"] == 4
     assert snap["degraded_read_s"] == pytest.approx(0.5)
     assert snap["stripes_lost"] == 1
@@ -33,9 +31,9 @@ def test_mttr_ledger_in_snapshot():
     assert avail_stats.open_window(("/f", ("stripe", 1, 0)), 1.0)
     # Re-opening the same window is not a new degradation.
     assert not avail_stats.open_window(("/f", ("stripe", 1, 0)), 2.0)
-    assert availability_counters()["open_windows"] == 1
+    assert avail_stats.snapshot()["open_windows"] == 1
     avail_stats.close_window(("/f", ("stripe", 1, 0)), 4.0)
-    snap = availability_counters()
+    snap = avail_stats.snapshot()
     assert snap["open_windows"] == 0
     assert snap["stripes_degraded"] == 1
     assert snap["unavailable_s"] == pytest.approx(3.0)
@@ -45,11 +43,8 @@ def test_mttr_ledger_in_snapshot():
 def test_monitor_probes_sample_counters():
     env = Environment()
     mon = Monitor(env, interval=0.1)
-    series = attach_availability_probes(mon)
-    assert "avail.degraded_reads" in series
-    assert "avail.repair_backlog_bytes" in series
-    assert "avail.open_windows" in series
-    assert "avail.mttr_s" in series
+    series = metrics_registry.attach(mon, "availability")
+    assert "availability.stripe_mttr_s" in series
     mon.start()
 
     def driver():
@@ -63,22 +58,13 @@ def test_monitor_probes_sample_counters():
     proc = env.process(driver())
     env.run(until=proc)
     env.run()
-    assert series["avail.degraded_reads"].values[0] == 0.0
-    assert series["avail.degraded_reads"].last() == 2.0
-    assert series["avail.repair_backlog_bytes"].last() == 640.0
-    assert series["avail.open_windows"].last() == 1.0
-
-
-def test_render_report():
-    avail_stats.reconstructions = 5
-    text = render_availability_report()
-    assert "reconstructions" in text and "5" in text
-    avail_stats.reset()
-    assert "no degradation recorded" in render_availability_report()
+    assert series["availability.degraded_reads"].values[0] == 0.0
+    assert series["availability.degraded_reads"].last() == 2.0
+    assert series["availability.repair_backlog_bytes"].last() == 640.0
+    assert series["availability.open_windows"].last() == 1.0
 
 
 def test_registry_resets_availability():
-    from repro.metrics.registry import metrics_registry
     avail_stats.degraded_reads += 2
     avail_stats.open_window(("/f", ("stripe", 1, 0)), 0.0)
     metrics_registry.reset()

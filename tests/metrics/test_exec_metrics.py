@@ -1,7 +1,7 @@
-"""Executor counters exported through repro.metrics."""
+"""Executor counters, read directly and through the metrics registry."""
 
 from repro.exec import ResultStore, SweepRunner, exec_stats, fig2_spec
-from repro.metrics import attach_exec_probes, exec_counters
+from repro.metrics import metrics_registry
 from repro.sim import Environment, Monitor
 from repro.units import MB
 
@@ -14,7 +14,7 @@ class TestExecCounters:
                  for a in (0.0, 1.0)]
         SweepRunner("serial", cache=store).run(specs)
         SweepRunner("serial", cache=store).run(specs)
-        counters = exec_counters()
+        counters = exec_stats.snapshot()
         assert counters["scenarios_run"] == 2
         assert counters["store_misses"] == 2
         assert counters["store_hits"] == 2
@@ -24,7 +24,7 @@ class TestExecCounters:
         exec_stats.reset()
         env = Environment()
         mon = Monitor(env, interval=1.0)
-        series = attach_exec_probes(mon)
+        series = metrics_registry.attach(mon, "exec")
         assert set(series) == {f"exec.{f}" for f in exec_stats._COUNTERS}
         exec_stats.store_hits += 3
 

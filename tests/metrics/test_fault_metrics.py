@@ -1,10 +1,9 @@
-"""Tests for the fault/recovery observability surface."""
+"""Tests for the fault/recovery counters and their monitor series."""
 
 import pytest
 
 from repro.faults import fault_stats
-from repro.metrics import (attach_fault_probes, fault_counters,
-                           render_fault_report)
+from repro.metrics import metrics_registry
 from repro.sim import Environment
 from repro.sim.monitor import Monitor
 
@@ -19,7 +18,7 @@ def _reset_stats():
 def test_counters_snapshot_includes_mttr_and_open_faults():
     fault_stats.record_fault("node3", 1.0)
     fault_stats.record_recovery("node3", 3.5)
-    snap = fault_counters()
+    snap = fault_stats.snapshot()
     assert snap["faults_injected"] == 1
     assert snap["recoveries"] == 1
     assert snap["mttr_s"] == pytest.approx(2.5)
@@ -49,7 +48,7 @@ def test_resolve_open_closes_everything():
 def test_monitor_probes_sample_counters():
     env = Environment()
     mon = Monitor(env, interval=0.1)
-    series = attach_fault_probes(mon)
+    series = metrics_registry.attach(mon, "faults")
     mon.start()
 
     def driver():
@@ -65,11 +64,3 @@ def test_monitor_probes_sample_counters():
     assert series["faults.retries"].last() == 3.0
     assert series["faults.open_faults"].last() == 1.0
     assert series["faults.retries"].values[0] == 0.0
-
-
-def test_render_fault_report_lists_nonzero_counters():
-    fault_stats.hedged_reads = 4
-    text = render_fault_report()
-    assert "hedged_reads" in text and "4" in text
-    fault_stats.reset()
-    assert "no faults recorded" in render_fault_report()

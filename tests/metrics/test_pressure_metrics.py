@@ -1,12 +1,11 @@
-"""Tests for the capacity-pressure observability surface."""
+"""Tests for the capacity-pressure counters and fill-ratio gauges."""
 
 import pytest
 
 from repro.core import DeploymentConfig, MemFSSDeployment
 from repro.fs import pressure_stats
-from repro.metrics import (attach_fill_probes, attach_pressure_probes,
-                           class_fill_ratios, pressure_counters,
-                           render_pressure_report)
+from repro.metrics import (attach_fill_probes, class_fill_ratios,
+                           metrics_registry)
 from repro.sim import Environment
 from repro.sim.monitor import Monitor
 from repro.units import GB, MB
@@ -22,7 +21,7 @@ def _reset_stats():
 def test_counters_snapshot():
     pressure_stats.spilled_writes += 2
     pressure_stats.spill_distance += 5
-    snap = pressure_counters()
+    snap = pressure_stats.snapshot()
     assert snap["spilled_writes"] == 2
     assert snap["spill_distance"] == 5
     assert snap["writes_checked"] == 0
@@ -31,7 +30,7 @@ def test_counters_snapshot():
 def test_monitor_probes_sample_counters():
     env = Environment()
     mon = Monitor(env, interval=0.1)
-    series = attach_pressure_probes(mon)
+    series = metrics_registry.attach(mon, "pressure")
     mon.start()
 
     def driver():
@@ -46,8 +45,7 @@ def test_monitor_probes_sample_counters():
     env.run()
     assert series["pressure.spilled_writes"].last() == 4.0
     assert series["pressure.spilled_writes"].values[0] == 0.0
-    assert series["pressure.mean_spill_distance"].last() == \
-        pytest.approx(1.5)
+    assert series["pressure.spill_distance"].last() == 6.0
 
 
 def test_fill_probes_track_per_class_fill():
@@ -81,11 +79,3 @@ def test_fill_ratio_skips_dead_stores():
     dep.manager.handle_crash(victim)
     ratios = class_fill_ratios(dep.fs)
     assert 0.0 <= ratios["victim"] <= 1.0
-
-
-def test_render_pressure_report():
-    pressure_stats.spilled_writes = 7
-    text = render_pressure_report()
-    assert "spilled_writes" in text and "7" in text
-    pressure_stats.reset()
-    assert "no pressure recorded" in render_pressure_report()

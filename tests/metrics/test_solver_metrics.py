@@ -1,8 +1,6 @@
-"""Solver counters: snapshots and Monitor probes."""
+"""Solver counters: snapshots and Monitor series."""
 
-import pytest
-
-from repro.metrics import attach_solver_probes, solver_counters
+from repro.metrics import metrics_registry
 from repro.sim import Environment, FlowNetwork, Monitor, flownet_stats
 
 
@@ -20,7 +18,7 @@ def test_counters_snapshot_accumulates():
     env = Environment()
     _busy_net(env)
     env.run()
-    counters = solver_counters()
+    counters = flownet_stats.snapshot()
     assert counters["solves"] >= 1
     assert counters["rounds"] >= 1
     assert counters["flows_touched"] >= 3
@@ -35,7 +33,7 @@ def test_monitor_probes_sample_counters():
     flownet_stats.reset()
     env = Environment()
     mon = Monitor(env, interval=1.0)
-    series = attach_solver_probes(mon)
+    series = metrics_registry.attach(mon, "solver")
     assert set(series) == {f"solver.{f}" for f in
                            ("solves", "full_solves", "rounds",
                             "flows_touched", "links_touched",
@@ -54,6 +52,6 @@ def test_reset_clears_counters():
     env = Environment()
     _busy_net(env)
     env.run()
-    assert solver_counters()["solves"] >= 1
+    assert flownet_stats.snapshot()["solves"] >= 1
     flownet_stats.reset()
-    assert all(v == 0 for v in solver_counters().values())
+    assert all(v == 0 for v in flownet_stats.snapshot().values())
