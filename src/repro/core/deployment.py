@@ -51,12 +51,11 @@ class DeploymentConfig:
     write_window: int = 2
     password: str = "memfss-secret"
     seed: int = 0
-    # Store-client resilience posture: per-op deadline (seconds of
-    # virtual time), retry attempts over the default backoff policy, and
-    # the hedged-read delay (None disables hedging).
+    # Store-client resilience posture, fixed per mount: the deadline of
+    # every request (seconds of virtual time) and the retry attempts over
+    # the default backoff policy.  Chain reads walk replicas in order.
     io_deadline: float | None = None
     io_retries: int = 3
-    io_hedge: float | None = None
     # Flow-solver mode for the fabric: None → FlowNetwork's default
     # ("incremental"); "reference" is the full-recompute baseline the
     # golden and perf comparisons run against.  Bit-identical
@@ -68,8 +67,8 @@ class DeploymentConfig:
     # units and the sweep cache keys change only through scaled().
     scale: int = 1
     # The placement policy: node classes and their data fractions (the
-    # own fraction is the paper's α), hash family, capacity guard and
-    # redundancy (replication or erasure coding).
+    # own fraction is the paper's α), hash family and redundancy
+    # (replication or erasure coding).
     policy: PlacementPolicy = PlacementPolicy.own_victim(0.25)
 
     def __post_init__(self):
@@ -141,11 +140,9 @@ class MemFSSDeployment:
                          erasure=pol.erasure,
                          coding_sets=config.coding_sets,
                          write_window=config.write_window,
-                         capacity_guard=pol.capacity_guard,
                          io_deadline=config.io_deadline,
                          io_retry=RetryPolicy(attempts=max(
                              1, config.io_retries)),
-                         io_hedge=config.io_hedge,
                          rng=self.rng)
 
         # Tenant reservation: victims registered on the secondary queue

@@ -2,8 +2,8 @@
 
 A :class:`PlacementPolicy` holds every setting that steers placement:
 named node classes with *target data fractions* (or explicit HRW
-weights), the hash family, the capacity guard, and the redundancy policy
-(replication or erasure coding).  It is the one placement setting of a
+weights), the hash family, and the redundancy policy (replication or
+erasure coding).  It is the one placement setting of a
 deployment: :attr:`~repro.core.deployment.DeploymentConfig.policy` is
 always set and defaults to the paper's ``own_victim(0.25)`` split.  It
 is frozen, hashable and picklable, so it rides inside
@@ -70,7 +70,6 @@ class PlacementPolicy:
 
     classes: tuple[tuple[str, ClassTarget], ...]
     family: str = MIX64.name
-    capacity_guard: bool = True
     replication: int = 1
     erasure: tuple[int, int] | None = None
     calibration_seed: int = 12345
@@ -103,8 +102,7 @@ class PlacementPolicy:
     # -- construction -------------------------------------------------------------
     @classmethod
     def make(cls, classes: Mapping[str, float | ClassTarget], *,
-             family: str = MIX64.name, capacity_guard: bool = True,
-             replication: int = 1,
+             family: str = MIX64.name, replication: int = 1,
              erasure: tuple[int, int] | None = None) -> "PlacementPolicy":
         """Build a policy from ``{name: fraction}`` (floats are target
         fractions) or ``{name: ClassTarget(...)}`` for explicit weights."""
@@ -112,8 +110,7 @@ class PlacementPolicy:
             (name, t if isinstance(t, ClassTarget)
              else ClassTarget(fraction=float(t)))
             for name, t in classes.items())
-        return cls(classes=pairs, family=family,
-                   capacity_guard=capacity_guard, replication=replication,
+        return cls(classes=pairs, family=family, replication=replication,
                    erasure=erasure)
 
     @classmethod

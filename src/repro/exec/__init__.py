@@ -31,7 +31,6 @@ from .scenarios import (consumption_scavenging_spec, consumption_specs,
                         run_scenario, slowdown_results, slowdown_suite_spec,
                         slowdown_sweep)
 from .scheduler import SchedulerPolicy, WorkStealingScheduler
-from .soak import build_soak_schedule, run_soak, run_soak_suite, soak_spec
 from .spec import ScenarioSpec
 from .stats import exec_stats
 from .store import ResultStore, atomic_write_json, code_version
@@ -47,5 +46,4 @@ __all__ = [
     "consumption_specs", "consumption_standalone_spec",
     "consumption_scavenging_spec", "run_consumption_points",
     "metrics_from_payload", "point_from_payload",
-    "build_soak_schedule", "soak_spec", "run_soak", "run_soak_suite",
 ]

@@ -25,18 +25,13 @@ in the blast radius.  Every seed must read back every byte after the
 storm, with repair traffic visibly draining through the budget pipe
 (``budget_busy_s > 0``) rather than teleporting.
 
-Runnable directly for the CI lane::
+Both run from the CLI (:func:`repro.cli.cmd_avail`)::
 
-    python -m repro.exec.availability --mode soak --seeds 10 --out r.json
-    python -m repro.exec.availability --mode frontier --seeds 4
+    memfss avail --soak --seeds 10 --out r.json
+    memfss avail --seeds 4
 """
 
 from __future__ import annotations
-
-import argparse
-import json
-import os
-import sys
 
 from ..core.deployment import DeploymentConfig, MemFSSDeployment
 from ..core.policy import PlacementPolicy
@@ -46,7 +41,7 @@ from ..fs.scavenger import RepairDaemon
 from ..store import RetryPolicy
 from ..units import MB
 
-__all__ = ["MODES", "run_point", "run_frontier", "run_storm_soak", "main"]
+__all__ = ["MODES", "run_point", "run_frontier", "run_storm_soak"]
 
 #: Redundancy postures spanning the frontier: name → (policy kwargs,
 #: coding_sets knob, storage overhead in extra bytes per data byte).
@@ -264,46 +259,3 @@ def run_storm_soak(seeds, *, n_files: int = 8, file_size: float = 64 * 1024,
         "runs": runs,
     }
 
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.exec.availability",
-        description="Availability frontier / revocation-storm soak")
-    parser.add_argument("--mode", choices=("frontier", "soak"),
-                        default="soak")
-    parser.add_argument("--seeds", type=int, default=10,
-                        help="number of seeds (default 10)")
-    parser.add_argument("--first-seed", type=int, default=0)
-    parser.add_argument("--files", type=int, default=8)
-    parser.add_argument("--scales", default="1",
-                        help="comma list of scale multipliers (frontier)")
-    parser.add_argument("--out", default=None,
-                        help="write the JSON report here")
-    args = parser.parse_args(argv)
-    seeds = range(args.first_seed, args.first_seed + args.seeds)
-    if args.mode == "soak":
-        report = run_storm_soak(seeds, n_files=args.files)
-        line = (f"storm soak: zero loss over {len(report['seeds'])} seeds; "
-                f"{report['total_repairs']} repairs, "
-                f"{report['total_repaired_bytes']:.3g} B through a "
-                f"{report['bandwidth']:.3g} B/s budget "
-                f"(busy {report['budget_busy_s']:.3g}s), "
-                f"MTTR {report['mean_mttr_s']:.3g}s")
-    else:
-        scales = tuple(int(s) for s in args.scales.split(","))
-        report = run_frontier(seeds, scales=scales, n_files=args.files)
-        cells = report["cells"]
-        line = "frontier: " + "; ".join(
-            f"{name} loss={cell['mean_loss_frac']:.3f}"
-            for name, cell in sorted(cells.items()))
-    print(line)
-    if args.out:
-        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-        print(f"wrote {args.out}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -5,7 +5,7 @@ victim leases vanish under tenant pressure and MemFSS must survive via
 evacuation and lazy movement (§V-C).  This package provides
 
 - :mod:`repro.faults.stats` — process-wide counters (injected/recovered
-  faults, MTTR, degraded reads, retry/hedge activity) shared by the store
+  faults, MTTR, degraded reads, retry activity) shared by the store
   client, the scavenger and the repair daemon;
 - :mod:`repro.faults.injector` — a deterministic, seeded
   :class:`FaultInjector` driven by a declarative :class:`FaultSchedule`:

@@ -3,7 +3,7 @@
 One shared :data:`fault_stats` instance (the same pattern as
 ``repro.fs.placement.planner_stats``) collects everything the robustness
 layer does: the injector records faults, the store client records
-retries/hedges/timeouts/degraded reads, and the scavenger's evacuation
+retries/timeouts/degraded reads, and the scavenger's evacuation
 path plus the repair daemon record recoveries.  MTTR is derived from
 matched fault→recovery pairs keyed by node.
 
@@ -20,7 +20,13 @@ __all__ = ["FaultStats", "fault_stats"]
 
 
 class FaultStats(Counters):
-    """Cumulative robustness counters (reset per experiment run)."""
+    """Cumulative robustness counters (reset per experiment run).
+
+    ``hedged_reads`` always reads 0: chain reads walk the replicas one
+    at a time and never hedge.  The key stays in the snapshot because
+    the ``storm_repair`` benchmark digests and the soak payloads embed
+    it, and dropping it would change them.
+    """
 
     _COUNTERS = (
         # injector side

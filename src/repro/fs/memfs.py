@@ -26,8 +26,7 @@ def build_memfs(env: Environment, fabric: Fabric, nodes: list[Node],
                 password: str = "",
                 stripe_size: int = DEFAULT_STRIPE_SIZE,
                 replication: int = 1,
-                write_window: int = 4,
-                capacity_guard: bool = True) -> MemFSS:
+                write_window: int = 4) -> MemFSS:
     """A uniform MemFS: one class, all nodes compute *and* store."""
     # Interned: repeated deployments over the same node set (the ablation
     # sweeps re-build MemFS per data point) share one policy and its plans.
@@ -35,5 +34,4 @@ def build_memfs(env: Environment, fabric: Fabric, nodes: list[Node],
         {"all": ClassSpec(weight=0.0, nodes=tuple(n.name for n in nodes))}))
     return MemFSS(env, fabric, own_nodes=nodes, servers=servers,
                   policy=policy, password=password, stripe_size=stripe_size,
-                  replication=replication, write_window=write_window,
-                  capacity_guard=capacity_guard)
+                  replication=replication, write_window=write_window)

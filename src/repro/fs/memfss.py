@@ -76,8 +76,6 @@ class MemFSS:
                  fuse_stream_cap: float = 1 * GB,
                  io_deadline: float | None = None,
                  io_retry: RetryPolicy | None = None,
-                 io_hedge: float | None = None,
-                 capacity_guard: bool = True,
                  coding_sets: int | bool | None = None,
                  rng: RngRegistry | None = None):
         if not own_nodes:
@@ -121,14 +119,14 @@ class MemFSS:
         self.domains: dict[str, str] = {}
         self.write_window = write_window
         self.meta_placer = ModuloPlacer([n.name for n in own_nodes])
-        # Every mount shares one resilience posture: per-op deadline,
-        # retry policy and hedge delay become the clients' defaults, and
+        # Every mount shares one resilience posture: the request deadline
+        # and default retry policy are set once on each client, and
         # backoff jitter draws from per-node streams of the deployment's
         # registry so fault runs stay bit-reproducible.
         self._clients = {
             n.name: StoreClient(
                 env, fabric, n, password,
-                deadline=io_deadline, retry=io_retry, hedge=io_hedge,
+                deadline=io_deadline, retry=io_retry,
                 rng=(rng.stream(f"store.client.{n.name}")
                      if rng is not None else None))
             for n in own_nodes}
@@ -147,7 +145,6 @@ class MemFSS:
         # down the HRW chain instead of bouncing with FULL (§III-E applied
         # to capacity).  The ledger wraps self.servers itself, so victims
         # joining/leaving are visible without re-wiring.
-        self.capacity_guard = bool(capacity_guard)
         self.ledger = CapacityLedger(self.servers)
         self._inodes = itertools.count(1)
         # Lifetime I/O counters.
@@ -311,12 +308,11 @@ class MemFSS:
                       assignment: CodedAssignment | None = None):
         """Generator: write one planned stripe to its replica set.
 
-        With the capacity guard on (the default), targets that cannot
-        admit the stripe are skipped in favour of the next nodes down the
-        HRW chain (§III-E applied to capacity) instead of bouncing the
-        write with ``FULL``.  The admission check is pure Python over the
-        ledger, so when every planned target admits — the unpressured
-        case — the put sequence is identical to the unguarded path.  A
+        Targets that cannot admit the stripe are skipped in favour of the
+        next nodes down the HRW chain (§III-E applied to capacity) instead
+        of bouncing the write with ``FULL``.  The admission check is pure
+        Python over the ledger, so when every planned target admits — the
+        unpressured case — the stripe lands on its top-k chain ranks.  A
         ``FULL`` that still sneaks through (a capacity race with another
         in-flight writer, or tenant pressure landing mid-put) falls
         through *reactively* to the next admitting node.  Only when no
@@ -339,11 +335,6 @@ class MemFSS:
             exclude = assignment.excludes[idx]
         else:
             targets = plan.chain(idx, k=want)
-        if not self.capacity_guard:
-            for target in targets:
-                yield from self._put_stripe(client, target, key, nbytes,
-                                            piece, batch)
-            return
         pressure_stats.writes_checked += 1
         chain: list[str] | None = None
         if not all(self.ledger.admits(t, nbytes) for t in targets):
@@ -558,14 +549,12 @@ class MemFSS:
         return plan.policy.coded_file(meta.inode, meta.n_stripes,
                                       meta.erasure, cs)
 
-    def _stripe_chain(self, plan, meta: FileMeta, idx: int,
-                      deep_k: int = 3) -> list[str]:
+    def _stripe_chain(self, plan, meta: FileMeta, idx: int) -> list[str]:
         """The read/lookup chain of key *idx*: the HRW walk, led by the
         fragment's domain-constrained target when the file was written
         under CodingSets (the assigned node is always *on* the chain —
         the assignment re-ranks, it never teleports)."""
-        chain = (plan.chain(idx) if self.capacity_guard
-                 else plan.chain(idx, k=max(self.replication, deep_k)))
+        chain = plan.chain(idx)
         asg = self._coded_for(meta, plan)
         if asg is not None and idx < len(asg.targets):
             pref = asg.targets[idx]
@@ -578,17 +567,17 @@ class MemFSS:
         """Generator: fetch one stripe, walking the replica chain.
 
         The chain walk (misses, crashed stores, timeouts falling through
-        to the next rank, optional hedging) lives in
+        to the next rank) lives in
         :meth:`~repro.store.client.StoreClient.get_any`; a fully
         exhausted chain falls back to parity reconstruction, which is
         counted and timed as a degraded read (repro.faults.availability).
         """
         key = plan.keys[idx]
-        # Under the capacity guard a write may have spilled arbitrarily
-        # deep down the chain, so reads walk it to the end; the walk
-        # stops at the first hit, so the unpressured path still issues
-        # exactly one request to the primary (or, for CodingSets files,
-        # to the fragment's domain-constrained target).
+        # A write may have spilled arbitrarily deep down the chain, so
+        # reads walk it to the end; the walk stops at the first hit, so
+        # the unpressured path issues exactly one request to the primary
+        # (or, for CodingSets files, to the fragment's domain-constrained
+        # target).
         chain = self._stripe_chain(plan, meta, idx)
         started = self.env.now
         try:
@@ -644,14 +633,10 @@ class MemFSS:
         return reconstruct_size(my_len)
 
     def _fetch_any(self, client: StoreClient, plan, idx: int,
-                   meta: FileMeta | None = None):
+                   meta: FileMeta):
         """Generator: get the plan's key *idx* from anywhere in its chain."""
         key = plan.keys[idx]
-        if meta is not None:
-            chain = self._stripe_chain(plan, meta, idx)
-        else:
-            chain = (plan.chain(idx) if self.capacity_guard
-                     else plan.chain(idx, k=3))
+        chain = self._stripe_chain(plan, meta, idx)
         try:
             return (yield from client.get_any(
                 [self.servers.get(t) for t in chain], key))
@@ -672,12 +657,10 @@ class MemFSS:
             # Delete from the planned replica set; if copies are missing
             # there (a capacity spill pushed them deeper), keep walking
             # the chain until all expected copies are gone.  Unpressured
-            # files find every copy in the first *want* ranks, so the
-            # request sequence is unchanged.
-            chain = (plan.chain(idx) if self.capacity_guard
-                     else plan.chain(idx, k=want))
+            # files find every copy in the first *want* ranks, so the walk
+            # stops there.
             deleted = 0
-            for target in chain:
+            for target in plan.chain(idx):
                 if deleted >= want:
                     break
                 server = self.servers.get(target)

@@ -245,7 +245,7 @@ class _StripeMover:
         for dest in targets:
             if spill is None and dest not in fs.servers:
                 continue        # died since the scan; next sweep re-plans
-            if fs.capacity_guard and not fs.ledger.admits(dest, nbytes):
+            if not fs.ledger.admits(dest, nbytes):
                 picked, distance, _short = select_targets(
                     spill(), nbytes, 1, fs.ledger.usable, exclude=taken) \
                     if spill is not None else ([], 0, 1)

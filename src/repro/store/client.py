@@ -9,13 +9,13 @@ process::
 Round-trip latency is charged here (request + response legs); payload and
 service costs are charged by the server (:mod:`repro.store.server`).
 
-Every operation takes the same resilience keywords — ``deadline=`` (per-op
-wall-clock budget), ``retry=`` (a :class:`~repro.store.protocol.RetryPolicy`
-with exponential backoff + seeded jitter) and, for chain reads, ``hedge=``
-(delay before speculatively trying the next replica) — with policy defaults
-settable at construction so the fs layer does not thread ad-hoc kwargs per
-call.  Backoff jitter draws from a ``sim.rng`` stream, never the global
-``random`` module, so retry timing is bit-reproducible.
+A client's resilience posture is fixed at construction: a ``deadline``
+(wall-clock budget of every request) and a default ``retry``
+(:class:`~repro.store.protocol.RetryPolicy` with exponential backoff +
+seeded jitter), which an operation's ``retry=`` keyword may override.
+Chain reads (:meth:`StoreClient.get_any`) walk the replicas one at a
+time in rank order.  Backoff jitter draws from a ``sim.rng`` stream,
+never the global ``random`` module, so retry timing is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -39,17 +39,14 @@ __all__ = ["StoreClient"]
 class StoreClient:
     """Issues requests from one node to any store server.
 
-    *deadline*, *retry* and *hedge* set the per-op defaults; each
-    operation accepts the same keywords to override them per call.
-    ``deadline=None`` means unbounded, ``hedge=None`` disables hedged
-    reads (chain reads then fall through sequentially on error).
+    *deadline* bounds every request (``None`` means unbounded); *retry*
+    is the default policy, overridable per operation with ``retry=``.
     """
 
     def __init__(self, env: Environment, fabric: Fabric, node: Node,
                  password: str = "", *,
                  deadline: float | None = None,
                  retry: RetryPolicy | None = None,
-                 hedge: float | None = None,
                  rng=None):
         self.env = env
         self.fabric = fabric
@@ -57,22 +54,21 @@ class StoreClient:
         self.password = password
         self.deadline = deadline
         self.retry = retry if retry is not None else RetryPolicy()
-        self.hedge = hedge
         # Backoff jitter must come from a seeded stream; a private
         # per-node registry keeps un-parameterized constructions (tests,
         # examples) deterministic too.
         self.rng = rng if rng is not None else \
             RngRegistry(0).stream(f"store.client.{node.name}")
 
-    def request(self, server: StoreServer, req: Request, *,
-                deadline: float | None = None):
+    def request(self, server: StoreServer, req: Request):
         """Generator: one full round trip; returns the :class:`Response`.
 
-        With a *deadline* the attempt is raced against a timer; on expiry
-        the in-flight request is interrupted (its resource flows are
-        withdrawn by the server) and a ``TIMEOUT`` response is returned.
+        Under the client's *deadline* the attempt is raced against a
+        timer; on expiry the in-flight request is interrupted (its
+        resource flows are withdrawn by the server) and a ``TIMEOUT``
+        response is returned.
         """
-        deadline = self.deadline if deadline is None else deadline
+        deadline = self.deadline
         if deadline is None or deadline == math.inf:
             return (yield from self._round_trip(server, req))
         proc = self.env.process(self._round_trip(server, req),
@@ -97,7 +93,6 @@ class StoreClient:
         return resp
 
     def _checked(self, server: StoreServer, req: Request, *,
-                 deadline: float | None = None,
                  retry: RetryPolicy | None = None):
         """Generator: request with bounded retries; returns the value or
         raises the typed :class:`StoreError`."""
@@ -105,7 +100,7 @@ class StoreClient:
         attempt = 0
         while True:
             attempt += 1
-            resp = yield from self.request(server, req, deadline=deadline)
+            resp = yield from self.request(server, req)
             if resp.ok:
                 return resp.value
             code = resp.code or StoreErrorCode.BAD_REQUEST
@@ -133,99 +128,84 @@ class StoreClient:
     # -- operations ---------------------------------------------------------------
     def put(self, server: StoreServer, key: Hashable,
             nbytes: float | None = None, payload: bytes | None = None,
-            batch: int = 1, *, deadline: float | None = None,
-            retry: RetryPolicy | None = None):
+            batch: int = 1, *, retry: RetryPolicy | None = None):
         """Store a value; returns the stored size."""
         return (yield from self._checked(server, Request(
             Op.PUT, key=key, nbytes=nbytes, payload=payload, batch=batch,
             password=self.password, client_node=self.node.name),
-            deadline=deadline, retry=retry))
+            retry=retry))
 
     def get(self, server: StoreServer, key: Hashable, batch: int = 1, *,
-            deadline: float | None = None, retry: RetryPolicy | None = None):
+            retry: RetryPolicy | None = None):
         """Fetch a value; returns ``(nbytes, payload_or_None)``."""
         return (yield from self._checked(server, Request(
             Op.GET, key=key, batch=batch, password=self.password,
-            client_node=self.node.name), deadline=deadline, retry=retry))
+            client_node=self.node.name), retry=retry))
 
     def delete(self, server: StoreServer, key: Hashable, *,
-               deadline: float | None = None,
                retry: RetryPolicy | None = None):
         """Delete a key; returns the bytes released."""
         return (yield from self._checked(server, Request(
             Op.DELETE, key=key, password=self.password,
-            client_node=self.node.name), deadline=deadline, retry=retry))
+            client_node=self.node.name), retry=retry))
 
     def exists(self, server: StoreServer, key: Hashable, *,
-               deadline: float | None = None,
                retry: RetryPolicy | None = None):
         return (yield from self._checked(server, Request(
             Op.EXISTS, key=key, password=self.password,
-            client_node=self.node.name), deadline=deadline, retry=retry))
+            client_node=self.node.name), retry=retry))
 
-    def flush(self, server: StoreServer, *, deadline: float | None = None,
-              retry: RetryPolicy | None = None):
+    def flush(self, server: StoreServer, *, retry: RetryPolicy | None = None):
         return (yield from self._checked(server, Request(
             Op.FLUSH, password=self.password, client_node=self.node.name),
-            deadline=deadline, retry=retry))
+            retry=retry))
 
-    def info(self, server: StoreServer, *, deadline: float | None = None,
-             retry: RetryPolicy | None = None):
+    def info(self, server: StoreServer, *, retry: RetryPolicy | None = None):
         return (yield from self._checked(server, Request(
             Op.INFO, password=self.password, client_node=self.node.name),
-            deadline=deadline, retry=retry))
+            retry=retry))
 
     def sadd(self, server: StoreServer, key: Hashable, member: str, *,
-             deadline: float | None = None, retry: RetryPolicy | None = None):
+             retry: RetryPolicy | None = None):
         """Add a member to a server-side set; returns True if new."""
         return (yield from self._checked(server, Request(
             Op.SADD, key=key, member=member, password=self.password,
-            client_node=self.node.name), deadline=deadline, retry=retry))
+            client_node=self.node.name), retry=retry))
 
     def srem(self, server: StoreServer, key: Hashable, member: str, *,
-             deadline: float | None = None, retry: RetryPolicy | None = None):
+             retry: RetryPolicy | None = None):
         """Remove a member from a server-side set; returns True if present."""
         return (yield from self._checked(server, Request(
             Op.SREM, key=key, member=member, password=self.password,
-            client_node=self.node.name), deadline=deadline, retry=retry))
+            client_node=self.node.name), retry=retry))
 
     def smembers(self, server: StoreServer, key: Hashable, *,
-                 deadline: float | None = None,
                  retry: RetryPolicy | None = None):
         """Members of a server-side set (frozenset)."""
         return (yield from self._checked(server, Request(
             Op.SMEMBERS, key=key, password=self.password,
-            client_node=self.node.name), deadline=deadline, retry=retry))
+            client_node=self.node.name), retry=retry))
 
     # -- chain reads ---------------------------------------------------------------
     def get_any(self, servers: Sequence[StoreServer], key: Hashable, *,
-                batch: int = 1, deadline: float | None = None,
-                retry: RetryPolicy | None = None,
-                hedge: float | None = None):
+                batch: int = 1, retry: RetryPolicy | None = None):
         """Generator: fetch *key* from the first replica in *servers* that
-        answers, in rank order (the stripe's HRW chain).
+        answers, walking them in rank order (the stripe's HRW chain).
 
         Misses, crashes and timeouts fall through to the next replica
-        (lazy movement, §V-C); other errors propagate.  With *hedge* set
-        (seconds), the next replica is tried *concurrently* once the
-        current best attempt has been outstanding that long — the classic
-        tail-latency hedge — and the first success wins.  A success served
+        (lazy movement, §V-C); other errors propagate.  A success served
         by any non-primary replica counts as a degraded read.
         """
         servers = [s for s in servers if s is not None]
         if not servers:
             raise StoreError(StoreErrorCode.UNAVAILABLE,
                              f"{key!r}: no live replica")
-        hedge = self.hedge if hedge is None else hedge
-        if hedge is not None and hedge > 0 and len(servers) > 1:
-            return (yield from self._hedged_get(servers, key, batch,
-                                                deadline, retry, hedge))
         last: StoreError | None = None
         started = self.env.now
         for rank, server in enumerate(servers):
             try:
                 value = yield from self.get(server, key, batch=batch,
-                                            deadline=deadline, retry=retry)
+                                            retry=retry)
             except StoreError as exc:
                 if not exc.code.fallthrough:
                     raise
@@ -237,72 +217,3 @@ class StoreClient:
             return value
         assert last is not None
         raise last
-
-    def _collected_get(self, server: StoreServer, key: Hashable,
-                       batch: int, deadline: float | None,
-                       retry: RetryPolicy | None):
-        """Generator: a get attempt that reports instead of raising, so a
-        hedging race can collect losers without failing the combinator."""
-        try:
-            value = yield from self.get(server, key, batch=batch,
-                                        deadline=deadline, retry=retry)
-        except StoreError as exc:
-            return False, exc
-        return True, value
-
-    def _hedged_get(self, servers: Sequence[StoreServer], key: Hashable,
-                    batch: int, deadline: float | None,
-                    retry: RetryPolicy | None, hedge: float):
-        active: list = []
-        rank_of: dict = {}
-        nxt = 0
-        last: StoreError | None = None
-        started = self.env.now
-
-        def spawn():
-            nonlocal nxt
-            proc = self.env.process(
-                self._collected_get(servers[nxt], key, batch, deadline,
-                                    retry),
-                name=f"hedge@{self.node.name}")
-            rank_of[proc] = nxt
-            active.append(proc)
-            nxt += 1
-
-        spawn()
-        try:
-            while True:
-                waits = list(active)
-                timer = None
-                if nxt < len(servers):
-                    timer = self.env.timeout(hedge)
-                    waits.append(timer)
-                yield self.env.any_of(waits)
-                failed_now = False
-                for proc in [p for p in active if p.triggered]:
-                    active.remove(proc)
-                    ok, value = proc.value
-                    if ok:
-                        if rank_of[proc] > 0:
-                            fault_stats.degraded_reads += 1
-                            avail_stats.record_degraded_read(
-                                self.env.now - started)
-                        return value
-                    if not value.code.fallthrough:
-                        raise value
-                    last = value
-                    failed_now = True
-                if not active and nxt >= len(servers):
-                    assert last is not None
-                    raise last
-                if nxt < len(servers) and (
-                        not active
-                        or (timer is not None and timer.triggered
-                            and not failed_now)):
-                    if active:
-                        fault_stats.hedged_reads += 1
-                    spawn()
-        finally:
-            for proc in active:
-                if proc.is_alive:
-                    proc.interrupt("hedge resolved")

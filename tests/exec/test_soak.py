@@ -2,9 +2,14 @@
 degradation taxonomy."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.degraded import DegradedReason
 from repro.exec import run_scenario
 from repro.exec.soak import (build_soak_schedule, run_soak, run_soak_suite,
@@ -68,3 +73,15 @@ class TestSoakRun:
         assert len(report["seeds"]) == 2
         assert "pressure_totals" in report
         assert "soak:" in capsys.readouterr().out
+
+    def test_module_runs_once_as_main(self):
+        # `python -m repro.exec.soak` (the CI chaos-soak step) must not
+        # find the module already imported by its package: runpy would
+        # execute it twice and warn.
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "repro.exec.soak", "--seeds", "0"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr

@@ -2,10 +2,9 @@
 
 Covers the ledger/select_targets mechanics, end-to-end spill behavior
 (data lands and reads back when individual stores fill up), honest
-exhaustion (structured FULL instead of a bare traceback), the legacy
-crash-on-full behavior behind ``capacity_guard=False``, and the
-batch/scalar placement-equivalence property that makes spill
-deterministic.
+exhaustion (structured FULL instead of a bare traceback), unpressured
+writes landing exactly on their top HRW ranks, and the batch/scalar
+placement-equivalence property that makes spill deterministic.
 """
 
 import pytest
@@ -28,8 +27,7 @@ def _reset_pressure():
 
 
 def build_rig(cap_own=4096.0, cap_victim=4096.0, n_own=2, n_victim=3,
-              alpha=0.5, stripe_size=64, replication=1, guard=True,
-              write_window=4):
+              alpha=0.5, stripe_size=64, replication=1, write_window=4):
     cluster = build_das5(n_nodes=n_own + n_victim)
     env = cluster.env
     own = list(cluster.nodes[:n_own])
@@ -50,7 +48,7 @@ def build_rig(cap_own=4096.0, cap_victim=4096.0, n_own=2, n_victim=3,
                             tuple(n.name for n in victims))})
     fs = MemFSS(env, cluster.fabric, own, servers, policy,
                 stripe_size=stripe_size, replication=replication,
-                write_window=write_window, capacity_guard=guard)
+                write_window=write_window)
     return cluster, fs, own
 
 
@@ -131,16 +129,6 @@ class TestSpillEndToEnd:
             _n, back = run(cluster, fs.read_file(own[0], path))
             assert back == blob, path
 
-    def test_guard_off_reproduces_crash_on_full(self):
-        cluster, fs, own = build_rig(cap_own=self.BIG_OWN,
-                                     cap_victim=self.TINY_VIC, guard=False)
-        with pytest.raises(StoreError) as ei:
-            for i in range(20):
-                run(cluster, fs.write_file(own[0], f"/f{i}",
-                                           payload=bytes(4096)))
-        assert ei.value.code is StoreErrorCode.FULL
-        assert pressure_stats.writes_checked == 0
-
     def test_exhaustion_is_structured_full(self):
         # A stripe bigger than any store: the whole chain refuses, so the
         # guarded path raises a structured FULL before touching a server.
@@ -167,18 +155,24 @@ class TestSpillEndToEnd:
         assert "requested_bytes" in ei.value.details
         assert pressure_stats.spilled_writes > 0
 
-    def test_unpressured_placement_is_identical(self):
-        # With room everywhere the guard must not move a single stripe.
-        def keys_by_server(guard):
-            cluster, fs, own = build_rig(cap_own=10 * GB,
-                                         cap_victim=10 * GB, guard=guard)
-            for i in range(10):
-                run(cluster, fs.write_file(own[0], f"/f{i}",
-                                           payload=bytes(256)))
-            return {name: sorted(map(repr, server.kv.keys()))
-                    for name, server in fs.servers.items()}
-
-        assert keys_by_server(True) == keys_by_server(False)
+    @pytest.mark.parametrize("replication", [1, 2])
+    def test_unpressured_placement_is_identical(self, replication):
+        # With room everywhere no stripe spills: every stripe key sits on
+        # exactly the top-k nodes of its HRW chain, and nowhere else.
+        cluster, fs, own = build_rig(cap_own=10 * GB, cap_victim=10 * GB,
+                                     replication=replication)
+        for i in range(10):
+            run(cluster, fs.write_file(own[0], f"/f{i}",
+                                       payload=bytes(256)))
+        holders: dict = {}
+        for name, server in fs.servers.items():
+            for key in server.kv.keys():
+                if isinstance(key, tuple) and key[0] == "stripe":
+                    holders.setdefault(key, set()).add(name)
+        assert len(holders) == 10 * 256 // 64
+        for key, nodes in holders.items():
+            assert nodes == set(fs.policy.ranked(key, replication)), key
+        assert pressure_stats.spilled_writes == 0
 
     def test_replicated_spill_keeps_replica_count(self):
         cluster, fs, own = build_rig(cap_own=self.BIG_OWN,
