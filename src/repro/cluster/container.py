@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .node import Node, OutOfMemory
+from .node import Node
 
 __all__ = ["ResourceCaps", "Container", "CapExceeded"]
 

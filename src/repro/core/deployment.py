@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from ..cluster import (Cluster, Container, ResourceCaps, build_das5)
+from ..cluster import Cluster, ResourceCaps, build_das5
 from ..fs import MemFSS, ScavengingManager
 from ..sim import Environment, FlowNetwork
 from ..sim.rng import RngRegistry
-from ..store import AuthPolicy, RetryPolicy, StoreCostModel, StoreServer
+from ..store import AuthPolicy, RetryPolicy, StoreServer
 from ..tenants import InterferenceProbe
 from ..units import GB, MB
 from ..workflows import WorkflowEngine

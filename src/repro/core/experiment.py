@@ -9,11 +9,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from ..fs import pressure_stats
 from ..sim import Monitor
-from ..units import GB, MB
+from ..units import MB
 from ..workflows import dd_bag
 from .deployment import DeploymentConfig, MemFSSDeployment
 

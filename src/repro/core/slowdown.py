@@ -8,7 +8,7 @@ difference is the scavenging traffic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from ..tenants import PhasedWorkload, TenantRun, run_tenant

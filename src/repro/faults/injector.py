@@ -15,7 +15,7 @@ imports nothing from the store/fs layers and stays cycle-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping
 
 from ..sim import Environment

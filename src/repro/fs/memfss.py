@@ -21,7 +21,6 @@ in-process file system, which is how the functional tests use them.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable
 
 from ..cluster.network import Fabric
 from ..cluster.node import Node
@@ -34,8 +33,8 @@ from ..store import (RetryPolicy, StoreClient, StoreError, StoreErrorCode,
 from ..units import GB
 from .capacity import CapacityLedger, pressure_stats, select_targets
 from .erasure import group_layout, parity_key, reconstruct_size, xor_parity
-from .metadata import (FileMeta, PathError, dir_key, file_meta_key,
-                       normalize_path, parent_dir)
+from .metadata import (FileMeta, dir_key, file_meta_key, normalize_path,
+                       parent_dir)
 from .placement import CodedAssignment, CodingSets, PlacementMap
 from .striping import (DEFAULT_STRIPE_SIZE, split_payload, stripe_count,
                        stripe_spans)

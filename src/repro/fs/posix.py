@@ -15,7 +15,7 @@ appends virtual bytes.
 from __future__ import annotations
 
 from ..cluster.node import Node
-from .memfss import FileExists, FileNotFound, FsError, MemFSS
+from .memfss import FileExists, FsError, MemFSS
 
 __all__ = ["MountPoint", "FileHandle", "HandleClosed"]
 

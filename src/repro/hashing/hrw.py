@@ -28,7 +28,7 @@ Two hash families are provided:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from typing import Hashable
 
 import numpy as np

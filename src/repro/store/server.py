@@ -266,19 +266,17 @@ class StoreServer:
         cpu_flow = self.node.cpu.submit(
             cpu_work, cap=self.cpu_cap,
             label=self._cpu_label)
-        membw_flow = None
+        waits = [loop_flow.done, cpu_flow.done]
+        membw_flow = net_flow = None
         if nbytes > 0:
             membw_flow = self.node.membw.submit(
                 self.costs.membw_work(nbytes), label=self._membw_label)
-        net_flow = None
-        if nbytes > 0:
             net_flow = self.fabric.transfer(src, dst, nbytes,
                                             cap=self.net_cap,
                                             label=self._net_label,
                                             transport="tcp")
-        waits = [loop_flow.done, cpu_flow.done] + \
-            ([membw_flow.done] if membw_flow else []) + \
-            ([net_flow.done] if net_flow else [])
+            waits.append(membw_flow.done)
+            waits.append(net_flow.done)
         try:
             yield self.env.all_of(waits)
         except BaseException:

@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from ..cluster.node import Node
 from ..sim import Environment
 from ..store import StoreServer
-from ..units import GB
 
 __all__ = [
     "MEMBW_POLLUTION", "LATENCY_DISTURBANCE",
@@ -120,7 +119,7 @@ class InterferenceProbe:
         total = 0.0
         for link in (node.rx, node.tx):
             if link is not None:
-                total += link.class_bytes.get("store", 0.0)
+                total += link.class_bytes_of("store")
         return total
 
     def cpu_rate(self, node: Node) -> float:

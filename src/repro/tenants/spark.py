@@ -18,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..units import GB
-from .base import (AllocPhase, ComputePhase, DiskPhase, FreePhase,
-                   MemBandwidthPhase, NetworkPhase, Phase, PhaseContext,
-                   PhasedWorkload)
+from .base import (AllocPhase, DiskPhase, FreePhase, MemBandwidthPhase,
+                   NetworkPhase, Phase, PhaseContext, PhasedWorkload)
 
 __all__ = ["GC_SENSITIVITY", "GcComputePhase", "SparkJobSpec", "spark_job"]
 

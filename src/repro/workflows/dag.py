@@ -10,7 +10,7 @@ into simulator resource demands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 __all__ = ["FileSpec", "Task", "Workflow", "CycleError"]

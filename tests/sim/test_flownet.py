@@ -448,10 +448,10 @@ class TestFillBranchesExact:
         def fill():
             for f in fs:
                 f._rate = -1.0
-            net._l_used[:] = -1.0
+            net._l_used[:] = [-1.0] * net._nl
             stats = FlowNetStats()
             net._fill_vec(fs, ls, stats)
-            return ([f._rate for f in fs], net._l_used[ls].tolist(),
+            return ([f._rate for f in fs], [net._l_used[l] for l in ls],
                     stats.rounds, stats.stalemates)
 
         vec, scalar = _both_branches(fill)
@@ -479,7 +479,7 @@ class TestFillBranchesExact:
             wake = [t for t, _c, cb in env._queue if cb is net._wakeup_cb]
             return ([(f._attached, f.remaining, f._rate, f.finished_at,
                       f.done.triggered) for f in flows],
-                    net._l_used[:net._nl].tolist(), wake,
+                    list(net._l_used), wake,
                     {k: after[k] - before[k] for k in after})
 
         vec, scalar = _both_branches(flush)
@@ -490,3 +490,190 @@ class TestFillBranchesExact:
         # and finish at this instant; the one capped at 0.5 needs 2e-6 s.
         assert len(finished) == 2 and all(f[3] == 1e9 for f in finished)
         assert scalar[2] and scalar[2][0] > 1e9
+
+    @settings(max_examples=200, deadline=None)
+    @given(n_nodes=st.integers(2, 6),
+           link_caps=st.lists(_fill_link_cap, min_size=12, max_size=12),
+           flows=st.lists(_fill_flow, max_size=8),
+           lone=_fill_flow,
+           n_removed=st.integers(0, 3))
+    def test_shortcuts_match_general_fill(self, n_nodes, link_caps, flows,
+                                          lone, n_removed):
+        """The solve's one-flow closed form and flowless-link shortcut
+        give the general scalar loop's floats and counters."""
+
+        def build():
+            env = Environment()
+            net = FlowNetwork(env)
+            tx = [net.add_link_lean(f"tx{i}", link_caps[2 * i])
+                  for i in range(n_nodes)]
+            rx = [net.add_link_lean(f"rx{i}", link_caps[2 * i + 1])
+                  for i in range(n_nodes)]
+            # A lone flow on its own links, and a lone flow crossing one
+            # link twice: that link counts it twice per round, so only
+            # the general loop fills it right (rate 10/2, not 10).
+            a, b = (net.add_link_lean(n, c) for n, c in
+                    (("a", link_caps[0]), ("b", link_caps[1])))
+            x, y = net.add_link_lean("x", 10.0), net.add_link_lean("y", 97.0)
+            made = []
+            for hop3, src, mid, dst, work, cap in [lone] + flows:
+                path = [tx[src % n_nodes], rx[dst % n_nodes]]
+                if hop3:
+                    path.insert(1, rx[mid % n_nodes])
+                made.append(net.transfer(path, work, cap=cap))
+            made.append(net.transfer([a, b], lone[4], cap=lone[5]))
+            loop = net.transfer([x, y, x], 100.0)
+            # Removed flows leave their links dirty, some without flows.
+            for f in made[:n_removed]:
+                net.remove(f)
+            # A link no flow crosses, so the general fill below can pad a
+            # component with it and never take a shortcut.
+            spare = net.add_link_lean("spare", 1.0)
+            net._dirty.update(range(spare))
+            net._l_used[:] = [-1.0] * net._nl
+            return net, spare, loop
+
+        def solve(net, fill):
+            stats = FlowNetStats()
+            with mock.patch.object(flownet, "flownet_stats", stats), \
+                    mock.patch.object(flownet, "_SCALAR_MAX", 10**9), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                fill(stats)
+            return stats
+
+        fast, spare, loop = build()
+        comps = []
+        real_fill = fast._fill_vec
+
+        def record(fs, ls, stats):
+            comps.append(([f._seq for f in fs], list(ls)))
+            real_fill(fs, ls, stats)
+
+        fast._fill_vec = record
+        fast_stats = solve(fast, lambda stats: fast._solve())
+
+        general, _spare, _loop = build()
+        by_seq = {f._seq: f for f in general._live}
+
+        def fill_general(stats):
+            covered = set()
+            for seqs, ls in comps:
+                general._fill_vec([by_seq[q] for q in seqs], ls + [spare],
+                                  stats)
+                covered.update(ls)
+            for l in range(spare):
+                if l not in covered:
+                    general._fill_vec([], [l], stats)
+            stats.links_touched -= len(comps)  # the padding
+
+        general_stats = solve(general, fill_general)
+        assert ([f._rate for f in fast._live]
+                == [f._rate for f in general._live])
+        assert fast._l_used[:spare] == general._l_used[:spare]
+        assert min(fast._l_used[:spare]) >= 0.0
+        assert fast_stats.snapshot() == general_stats.snapshot()
+        assert loop._rate == 5.0
+
+
+_LABELS = st.sampled_from(["store:put", "store:get", "tenant:shuffle", "",
+                           "plain"])
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("transfer"), st.integers(0, 3), st.integers(0, 3),
+              st.sampled_from(["verbs", "tcp"]),
+              st.one_of(st.none(), st.floats(1e6, 4e9)), _LABELS,
+              st.sampled_from([math.inf, 1e8, 2.5e9])),
+    st.tuples(st.just("remove"), st.integers(0, 63)),
+    st.tuples(st.just("capacity"), st.integers(0, 19),
+              st.sampled_from([0.25, 0.5, 1.0, 2.0])),
+    st.tuples(st.just("degrade"), st.integers(0, 3),
+              st.sampled_from([1e-9, 0.1, 0.5])),
+    st.just(("heal",)),
+    st.tuples(st.just("wait"), st.sampled_from([0.0, 1e-3, 0.05, 0.4])),
+), max_size=40)
+
+
+class TestLoadedLinkSettle:
+    """Settle advances busy integrals on loaded links only; every link's
+    ``busy_time()`` and ``class_bytes`` equal, with ``==``, a shadow that
+    advances every link on every settle."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(ops=_OPS)
+    def test_matches_all_link_shadow(self, ops):
+        from repro.cluster import DAS5, Fabric, Node
+
+        env = Environment()
+        fabric = Fabric(env)
+        nodes = [Node(env, f"n{i}", DAS5) for i in range(4)]
+        fabric.attach_all(nodes)
+        net = fabric.net
+        nl = net._nl
+        busy = [0.0] * nl
+        fold = [0.0] * nl
+        cb = [{} for _ in range(nl)]
+        last = [env.now]
+        real_settle = net._settle
+        real_set_capacity = net.set_capacity
+
+        def settle():
+            dt = env.now - last[0]
+            if dt > 0:
+                for f in net._live:  # creation order
+                    m = f._rate * dt
+                    if f.class_prefix is not None:
+                        for s in f._lslots:
+                            cb[s][f.class_prefix] = (
+                                cb[s].get(f.class_prefix, 0.0) + m)
+                for s in range(nl):
+                    busy[s] += net._l_used[s] * dt
+                last[0] = env.now
+            real_settle()
+
+        def set_capacity(link, capacity):
+            s = net._resolve_slot(link)
+            net._settle()
+            old = net._l_cap[s]
+            if float(capacity) != old:
+                fold[s] += busy[s] / old
+                busy[s] = 0.0
+            real_set_capacity(link, capacity)
+
+        net._settle = settle
+        net.set_capacity = set_capacity
+        created = []
+        heals = []
+
+        def driver():
+            for op in ops:
+                kind = op[0]
+                if kind == "transfer":
+                    _k, src, dst, transport, size, label, cap = op
+                    created.append(fabric.transfer(
+                        nodes[src], nodes[dst], size, cap=cap, label=label,
+                        transport=transport))
+                elif kind == "remove" and created:
+                    net.remove(created[op[1] % len(created)])
+                elif kind == "capacity":
+                    s = op[1]
+                    set_capacity(s, net._l_cap[s] * op[2])
+                elif kind == "degrade":
+                    heals.append(fabric.degrade_node(f"n{op[1]}", op[2]))
+                elif kind == "heal" and heals:
+                    heals.pop()()
+                elif kind == "wait":
+                    yield env.timeout(op[1])
+            yield env.timeout(1.0)
+            for f in created:
+                net.remove(f)
+            yield env.timeout(0.5)
+
+        proc = env.process(driver())
+        env.run()
+        assert proc.triggered and proc.ok
+        for s in range(nl):
+            link = net._materialize(s)
+            assert net.busy_time(s) == fold[s] + busy[s] / net._l_cap[s]
+            want = {p: v for p, v in cb[s].items() if v != 0.0}
+            assert link.class_bytes == want
+            assert link.class_bytes_of("store") == want.get("store", 0.0)

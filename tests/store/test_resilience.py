@@ -42,6 +42,14 @@ class TestErrorTaxonomy:
         assert StoreErrorCode.MISSING == "missing"
         assert StoreError("missing").code is StoreErrorCode.MISSING
 
+    def test_codes_hash_as_their_values(self):
+        # Equal objects hash equal: a code and its string value find
+        # each other in sets and dicts.
+        for code in StoreErrorCode:
+            assert hash(code) == hash(code.value)
+            assert {code.value: code}[code] is code
+            assert code.value in {code}
+
     def test_retryable_partition(self):
         assert StoreErrorCode.TIMEOUT.retryable
         assert StoreErrorCode.UNAVAILABLE.retryable

@@ -139,6 +139,18 @@ class TestMisc:
         assert not resp.ok
         assert resp.code is StoreErrorCode.BAD_REQUEST
 
+    def test_request_fields_and_defaults(self):
+        fields = ("op", "key", "nbytes", "payload", "member", "batch",
+                  "password", "client_node")
+        req = Request(Op.GET)
+        assert {f: getattr(req, f) for f in fields} == {
+            "op": Op.GET, "key": None, "nbytes": None, "payload": None,
+            "member": None, "batch": 1, "password": "", "client_node": ""}
+        values = (Op.SADD, "k", 3.0, b"abc", "m", 2, "pw", "n0")
+        req = Request(*values)
+        assert tuple(getattr(req, f) for f in fields) == values
+        assert Request(Op.PUT, key="k", payload=b"xy").payload == b"xy"
+
     def test_info_via_client(self, rig):
         env, _c, _o, _v, server, client = rig
 
