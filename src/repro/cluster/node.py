@@ -14,15 +14,11 @@ from ..sim import Environment, FluidResource
 from ..sim.flownet import Link
 from .machine import MachineSpec
 
-__all__ = ["Node", "MemoryError_", "OutOfMemory"]
+__all__ = ["Node", "OutOfMemory"]
 
 
 class OutOfMemory(RuntimeError):
     """An allocation exceeded the node's physical memory."""
-
-
-# Back-compat alias used by early tests.
-MemoryError_ = OutOfMemory
 
 
 class Node:

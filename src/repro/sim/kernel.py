@@ -194,7 +194,6 @@ class Process(Event):
                 and not (event._ok is False and isinstance(event._value, Interrupt)):
             return  # stale wakeup from an event we stopped waiting on
         self._waiting_on = None
-        self.env._active_process = self
         try:
             if event._ok:
                 target = self.generator.send(event._value)
@@ -202,18 +201,15 @@ class Process(Event):
                 exc = event._value
                 target = self.generator.throw(exc)
         except StopIteration as stop:
-            self.env._active_process = None
             if not self._triggered:
                 self.succeed(stop.value)
             return
         except BaseException as exc:
-            self.env._active_process = None
             if not self._triggered:
                 self.fail(exc)
             if not self.env._catch_process_errors:
                 raise
             return
-        self.env._active_process = None
         if not isinstance(target, Event):
             self.generator.throw(SimulationError(
                 f"process {self.name!r} yielded {target!r}, expected an Event"))
@@ -339,7 +335,6 @@ class Environment:
         # wakeup instead of O(log n) heap churn per flow.
         self._nowq: deque[tuple[int, Event]] = deque()
         self._counter = itertools.count()
-        self._active_process: Process | None = None
         # Process failures are delivered through the process event (so a
         # parent waiting on it — directly, via run(until=...), or through
         # AllOf/AnyOf — re-raises them) instead of tearing down the whole
@@ -354,10 +349,6 @@ class Environment:
     @property
     def now(self) -> float:
         return self._now
-
-    @property
-    def active_process(self) -> Process | None:
-        return self._active_process
 
     # -- event construction -------------------------------------------------
     def event(self) -> Event:

@@ -6,8 +6,12 @@ process::
 
     resp_bytes, payload = yield from client.get(server, "stripe-3")
 
-Round-trip latency is charged here (request + response legs); payload and
-service costs are charged by the server (:mod:`repro.store.server`).
+Round-trip latency is charged here (request + response legs, a failed
+request included); payload and service costs are charged by the server
+(:mod:`repro.store.server`).  A request returns the op's value or raises
+:class:`~repro.store.protocol.StoreError`, whether the server failed it
+or the client's deadline expired; the retry loop and the chain walk
+catch that one type.
 
 A client's resilience posture is fixed at construction: a ``deadline``
 (wall-clock budget of every request) and a default ``retry``
@@ -29,8 +33,7 @@ from ..faults.availability import avail_stats
 from ..faults.stats import fault_stats
 from ..sim import Environment
 from ..sim.rng import RngRegistry
-from .protocol import (Op, Request, Response, RetryPolicy, StoreError,
-                       StoreErrorCode)
+from .protocol import Op, Request, RetryPolicy, StoreError, StoreErrorCode
 from .server import StoreServer
 
 __all__ = ["StoreClient"]
@@ -61,12 +64,14 @@ class StoreClient:
             RngRegistry(0).stream(f"store.client.{node.name}")
 
     def request(self, server: StoreServer, req: Request):
-        """Generator: one full round trip; returns the :class:`Response`.
+        """Generator: one full round trip; returns the op's value or
+        raises the server's :class:`StoreError`.
 
         Under the client's *deadline* the attempt is raced against a
         timer; on expiry the in-flight request is interrupted (its
         resource flows are withdrawn by the server) and a ``TIMEOUT``
-        response is returned.
+        error is raised.  A request that fails before the deadline
+        raises its own code.
         """
         deadline = self.deadline
         if deadline is None or deadline == math.inf:
@@ -74,23 +79,30 @@ class StoreClient:
         proc = self.env.process(self._round_trip(server, req),
                                 name=f"store-req@{self.node.name}")
         timer = self.env.timeout(deadline)
+        # A failed round trip fails the any_of, re-raising its error here.
         yield self.env.any_of([proc, timer])
         if proc.triggered:
             return proc.value
         proc.interrupt("deadline")
         fault_stats.timeouts += 1
-        return Response(ok=False, code=StoreErrorCode.TIMEOUT,
-                        message=f"{req.op.value} {req.key!r} exceeded "
-                                f"{deadline:.6g}s deadline to {server.name}")
+        raise StoreError(StoreErrorCode.TIMEOUT,
+                         f"{req.op.value} {req.key!r} exceeded "
+                         f"{deadline:.6g}s deadline to {server.name}")
 
     def _round_trip(self, server: StoreServer, req: Request):
         rtt_leg = self.fabric.latency(self.node, server.node)
         if rtt_leg > 0:
             yield self.env.timeout(rtt_leg)
-        resp: Response = yield from server.serve(req, self.node)
+        try:
+            value = yield from server.serve(req, self.node)
+        except StoreError:
+            # The failure reply crosses the fabric too.
+            if rtt_leg > 0:
+                yield self.env.timeout(rtt_leg)
+            raise
         if rtt_leg > 0:
             yield self.env.timeout(rtt_leg)
-        return resp
+        return value
 
     def _checked(self, server: StoreServer, req: Request, *,
                  retry: RetryPolicy | None = None):
@@ -100,30 +112,18 @@ class StoreClient:
         attempt = 0
         while True:
             attempt += 1
-            resp = yield from self.request(server, req)
-            if resp.ok:
-                return resp.value
-            code = resp.code or StoreErrorCode.BAD_REQUEST
-            if code is StoreErrorCode.UNAVAILABLE:
-                fault_stats.unavailable_errors += 1
-            if not policy.should_retry(code, attempt):
-                raise StoreError(code, resp.message, details=resp.details)
+            try:
+                return (yield from self.request(server, req))
+            except StoreError as exc:
+                code = exc.code
+                if code is StoreErrorCode.UNAVAILABLE:
+                    fault_stats.unavailable_errors += 1
+                if not policy.should_retry(code, attempt):
+                    raise
             fault_stats.retries += 1
             delay = policy.backoff(attempt, self.rng)
             if delay > 0:
                 yield self.env.timeout(delay)
-
-    # -- capacity -----------------------------------------------------------------
-    def free_space(self, server: StoreServer) -> float:
-        """Bytes *server* could still admit — a zero-cost local peek.
-
-        Not a generator: it charges no simulated time, modeling the
-        client's view of the capacity gossip every store piggybacks on
-        its responses.  The write path's spill decisions
-        (:mod:`repro.fs.capacity`) consult this before committing a
-        stripe to a store.
-        """
-        return server.free_space()
 
     # -- operations ---------------------------------------------------------------
     def put(self, server: StoreServer, key: Hashable,
@@ -132,59 +132,53 @@ class StoreClient:
         """Store a value; returns the stored size."""
         return (yield from self._checked(server, Request(
             Op.PUT, key=key, nbytes=nbytes, payload=payload, batch=batch,
-            password=self.password, client_node=self.node.name),
-            retry=retry))
+            password=self.password), retry=retry))
 
     def get(self, server: StoreServer, key: Hashable, batch: int = 1, *,
             retry: RetryPolicy | None = None):
         """Fetch a value; returns ``(nbytes, payload_or_None)``."""
         return (yield from self._checked(server, Request(
-            Op.GET, key=key, batch=batch, password=self.password,
-            client_node=self.node.name), retry=retry))
+            Op.GET, key=key, batch=batch, password=self.password),
+            retry=retry))
 
     def delete(self, server: StoreServer, key: Hashable, *,
                retry: RetryPolicy | None = None):
         """Delete a key; returns the bytes released."""
         return (yield from self._checked(server, Request(
-            Op.DELETE, key=key, password=self.password,
-            client_node=self.node.name), retry=retry))
+            Op.DELETE, key=key, password=self.password), retry=retry))
 
     def exists(self, server: StoreServer, key: Hashable, *,
                retry: RetryPolicy | None = None):
         return (yield from self._checked(server, Request(
-            Op.EXISTS, key=key, password=self.password,
-            client_node=self.node.name), retry=retry))
+            Op.EXISTS, key=key, password=self.password), retry=retry))
 
     def flush(self, server: StoreServer, *, retry: RetryPolicy | None = None):
         return (yield from self._checked(server, Request(
-            Op.FLUSH, password=self.password, client_node=self.node.name),
-            retry=retry))
+            Op.FLUSH, password=self.password), retry=retry))
 
     def info(self, server: StoreServer, *, retry: RetryPolicy | None = None):
         return (yield from self._checked(server, Request(
-            Op.INFO, password=self.password, client_node=self.node.name),
-            retry=retry))
+            Op.INFO, password=self.password), retry=retry))
 
     def sadd(self, server: StoreServer, key: Hashable, member: str, *,
              retry: RetryPolicy | None = None):
         """Add a member to a server-side set; returns True if new."""
         return (yield from self._checked(server, Request(
-            Op.SADD, key=key, member=member, password=self.password,
-            client_node=self.node.name), retry=retry))
+            Op.SADD, key=key, member=member, password=self.password),
+            retry=retry))
 
     def srem(self, server: StoreServer, key: Hashable, member: str, *,
              retry: RetryPolicy | None = None):
         """Remove a member from a server-side set; returns True if present."""
         return (yield from self._checked(server, Request(
-            Op.SREM, key=key, member=member, password=self.password,
-            client_node=self.node.name), retry=retry))
+            Op.SREM, key=key, member=member, password=self.password),
+            retry=retry))
 
     def smembers(self, server: StoreServer, key: Hashable, *,
                  retry: RetryPolicy | None = None):
         """Members of a server-side set (frozenset)."""
         return (yield from self._checked(server, Request(
-            Op.SMEMBERS, key=key, password=self.password,
-            client_node=self.node.name), retry=retry))
+            Op.SMEMBERS, key=key, password=self.password), retry=retry))
 
     # -- chain reads ---------------------------------------------------------------
     def get_any(self, servers: Sequence[StoreServer], key: Hashable, *,

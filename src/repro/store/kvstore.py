@@ -21,9 +21,8 @@ class StoreFull(RuntimeError):
     Carries structured fields — the store's id, the requested payload
     bytes and the free bytes at rejection time — so spill and degradation
     logic never parses the message.  When only the fields are given, the
-    message is synthesized in the legacy
-    ``"put of X B would exceed capacity (Y B free)"`` shape, which older
-    callers still match on.
+    message is synthesized as
+    ``"put of X B would exceed capacity (Y B free)"``.
     """
 
     def __init__(self, message: str = "", *, store: str | None = None,

@@ -1,10 +1,10 @@
-"""Request/response types, error taxonomy and cost model for the store
-protocol.
+"""Request type, error taxonomy and cost model for the store protocol.
 
-Failures travel as a typed :class:`StoreErrorCode` on the
-:class:`Response` (and on the :class:`StoreError` raised client-side), so
-policy decisions — retry? walk the replica chain? give up? — are driven by
-the taxonomy instead of string parsing.
+A request either returns its op's value or raises :class:`StoreError`,
+the one failure type from the KV store up to the chain walk.  The error
+carries a typed :class:`StoreErrorCode`, so policy decisions — retry?
+walk the replica chain? give up? — are driven by the taxonomy instead of
+string parsing.
 """
 
 from __future__ import annotations
@@ -12,11 +12,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Any, Hashable
+from typing import Hashable
 
 from ..units import GB
 
-__all__ = ["Op", "Request", "Response", "StoreCostModel", "RateTracker",
+__all__ = ["Op", "Request", "StoreCostModel", "RateTracker",
            "StoreErrorCode", "StoreError", "RetryPolicy", "NO_RETRY"]
 
 
@@ -48,14 +48,13 @@ class Request:
     # of many-small-request workloads at a fraction of the event count.
     batch: int = 1
     password: str = ""
-    client_node: str = ""
 
 
 class StoreErrorCode(str, enum.Enum):
     """Why a store request failed.
 
-    A ``str`` subclass so legacy comparisons against the old prefix
-    strings (``exc.code == "missing"``) keep working during migration.
+    A ``str`` subclass, so a code compares and hashes equal to its value
+    (see ``__hash__`` below).
     """
 
     AUTH = "auth"                # AUTH policy rejected the request
@@ -94,16 +93,18 @@ _FALLTHROUGH = frozenset({StoreErrorCode.MISSING, StoreErrorCode.UNAVAILABLE,
 class StoreError(RuntimeError):
     """A store request failed; :attr:`code` carries the typed cause.
 
+    Raised by :meth:`~repro.store.server.StoreServer.serve`, and by the
+    client itself for a timeout or an empty replica chain; the client's
+    retry loop and chain walk catch it and decide on :attr:`code`.
+
     :attr:`details` is an optional JSON-safe dict of structured context
     (for ``FULL``: the store id, requested bytes and free bytes, straight
     from :class:`~repro.store.kvstore.StoreFull`), so pressure/spill
     logic never parses :attr:`message`.
     """
 
-    def __init__(self, code: StoreErrorCode | str, message: str = "",
+    def __init__(self, code: StoreErrorCode, message: str = "",
                  details: dict | None = None):
-        if not isinstance(code, StoreErrorCode):
-            code = StoreErrorCode(code)
         value = code._value_
         super().__init__(f"{value}: {message}" if message else value)
         self.code = code
@@ -113,45 +114,12 @@ class StoreError(RuntimeError):
     def __reduce__(self):
         # args hold the formatted "code: message" string; default
         # exception pickling would feed that back into __init__ as
-        # *code* and fail the StoreErrorCode lookup on unpickle.
+        # *code* and fail on unpickle.
         return (type(self), (self.code, self.message, self.details))
 
     @property
     def retryable(self) -> bool:
         return self.code.retryable
-
-
-class Response:
-    """Outcome of one request.
-
-    Failures carry a :class:`StoreErrorCode` in :attr:`code` plus a plain
-    :attr:`message`.
-    """
-
-    __slots__ = ("ok", "value", "code", "message", "details")
-
-    def __init__(self, ok: bool, value: Any = None,
-                 code: StoreErrorCode | str | None = None,
-                 message: str = "", details: dict | None = None):
-        self.ok = ok
-        self.value = value
-        self.details = dict(details) if details else {}
-        if code is not None and not isinstance(code, StoreErrorCode):
-            code = StoreErrorCode(code)
-        self.code = code
-        self.message = message
-
-    def raise_for_status(self) -> None:
-        """Raise the matching :class:`StoreError` if the request failed."""
-        if not self.ok:
-            raise StoreError(self.code or StoreErrorCode.BAD_REQUEST,
-                             self.message, details=self.details)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self.ok:
-            return f"Response(ok=True, value={self.value!r})"
-        return f"Response(ok=False, code={self.code!r}, " \
-               f"message={self.message!r})"
 
 
 @dataclass(frozen=True)

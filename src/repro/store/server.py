@@ -27,8 +27,8 @@ from ..cluster.node import Node, OutOfMemory
 from ..sim import Environment, FluidResource
 from .auth import AuthError, AuthPolicy
 from .kvstore import KVStore, KeyMissing, StoreFull
-from .protocol import (Op, RateTracker, Request, Response, StoreCostModel,
-                       StoreError, StoreErrorCode)
+from .protocol import (Op, RateTracker, Request, StoreCostModel, StoreError,
+                       StoreErrorCode)
 
 __all__ = ["StoreServer", "StoreError"]
 
@@ -144,114 +144,85 @@ class StoreServer:
 
     # -- serving ------------------------------------------------------------------
     def serve(self, request: Request, client_node: Node):
-        """Generator: performs the request, returns a :class:`Response`.
+        """Generator: performs the request and returns the op's value.
 
-        Call as ``resp = yield from server.serve(req, my_node)`` — normally
-        through :class:`~repro.store.client.StoreClient`.
+        Call as ``value = yield from server.serve(req, my_node)`` —
+        normally through :class:`~repro.store.client.StoreClient`.  A
+        failed request raises :class:`StoreError`: ``UNAVAILABLE`` on a
+        crashed server, ``AUTH``, ``MISSING`` on a GET/DELETE miss,
+        ``FULL`` (with :attr:`StoreError.details`) when the KV, container
+        or node cannot back a write, and ``BAD_REQUEST`` otherwise.
         """
         if self.crashed:
             # The store process is dead: requests bounce immediately (the
             # client's chain walk / retry policy decides what happens next).
-            return Response(ok=False, code=StoreErrorCode.UNAVAILABLE,
-                            message=f"{self.name} is down")
+            raise StoreError(StoreErrorCode.UNAVAILABLE, f"{self.name} is down")
         if self.auth is not None:
             try:
                 self.auth.check(request.password, client_node.name)
             except AuthError as exc:
-                return Response(ok=False, code=StoreErrorCode.AUTH,
-                                message=str(exc))
+                raise StoreError(StoreErrorCode.AUTH, str(exc)) from None
         batch = max(1, int(request.batch))
         self.request_rate.record(self.env.now, count=batch)
         self.requests_served += batch
 
         op = request.op
-        if op is Op.PUT:
-            size = (float(len(request.payload)) if request.payload is not None
-                    else float(request.nbytes or 0.0))
-            yield from self._pay_costs(size, src=client_node, dst=self.node,
-                                       batch=batch)
-            try:
-                self.kv.put(request.key, nbytes=request.nbytes,
-                            payload=request.payload)
+        kv = self.kv
+        size = 0.0
+        try:
+            if op is Op.PUT:
+                size = (float(len(request.payload))
+                        if request.payload is not None
+                        else float(request.nbytes or 0.0))
+                yield from self._pay_costs(size, src=client_node,
+                                           dst=self.node, batch=batch)
+                kv.put(request.key, nbytes=request.nbytes,
+                       payload=request.payload)
                 self._sync_memory()
-            except (StoreFull, CapExceeded, OutOfMemory) as exc:
-                return Response(ok=False, code=StoreErrorCode.FULL,
-                                message=str(exc),
-                                details=self._full_details(exc, size))
-            except ValueError as exc:
-                return Response(ok=False, code=StoreErrorCode.BAD_REQUEST,
-                                message=str(exc))
-            return Response(ok=True, value=size)
-
-        if op is Op.GET:
-            try:
-                nbytes, payload = self.kv.get(request.key)
-            except KeyMissing:
-                return Response(ok=False, code=StoreErrorCode.MISSING,
-                                message=repr(request.key))
-            yield from self._pay_costs(nbytes, src=self.node, dst=client_node,
-                                       batch=batch)
-            return Response(ok=True, value=(nbytes, payload))
-
-        if op is Op.DELETE:
-            try:
-                released = self.kv.delete(request.key)
+                return size
+            if op is Op.GET:
+                nbytes, payload = kv.get(request.key)
+                yield from self._pay_costs(nbytes, src=self.node,
+                                           dst=client_node, batch=batch)
+                return nbytes, payload
+            if op is Op.DELETE:
+                released = kv.delete(request.key)
                 self._sync_memory()
-            except KeyMissing:
-                return Response(ok=False, code=StoreErrorCode.MISSING,
-                                message=repr(request.key))
-            yield from self._pay_costs(0.0, src=client_node, dst=self.node)
-            return Response(ok=True, value=released)
-
-        if op is Op.EXISTS:
-            yield from self._pay_costs(0.0, src=client_node, dst=self.node)
-            return Response(ok=True, value=self.kv.contains(request.key))
-
-        if op is Op.FLUSH:
-            released = self.kv.flush()
-            self._sync_memory()
-            yield from self._pay_costs(0.0, src=client_node, dst=self.node)
-            return Response(ok=True, value=released)
-
-        if op is Op.INFO:
-            yield from self._pay_costs(0.0, src=client_node, dst=self.node)
-            return Response(ok=True, value=self.kv.info())
-
-        if op is Op.SADD:
-            yield from self._pay_costs(0.0, src=client_node, dst=self.node)
-            try:
-                added = self.kv.sadd(request.key, request.member or "")
+                yield from self._pay_costs(0.0, src=client_node, dst=self.node)
+                return released
+            if op is Op.EXISTS:
+                yield from self._pay_costs(0.0, src=client_node, dst=self.node)
+                return kv.contains(request.key)
+            if op is Op.FLUSH:
+                released = kv.flush()
                 self._sync_memory()
-            except (StoreFull, CapExceeded, OutOfMemory) as exc:
-                return Response(ok=False, code=StoreErrorCode.FULL,
-                                message=str(exc),
-                                details=self._full_details(exc, 0.0))
-            except TypeError as exc:
-                return Response(ok=False, code=StoreErrorCode.BAD_REQUEST,
-                                message=str(exc))
-            return Response(ok=True, value=added)
-
-        if op is Op.SREM:
-            yield from self._pay_costs(0.0, src=client_node, dst=self.node)
-            try:
-                removed = self.kv.srem(request.key, request.member or "")
+                yield from self._pay_costs(0.0, src=client_node, dst=self.node)
+                return released
+            if op is Op.INFO:
+                yield from self._pay_costs(0.0, src=client_node, dst=self.node)
+                return kv.info()
+            if op is Op.SADD:
+                yield from self._pay_costs(0.0, src=client_node, dst=self.node)
+                added = kv.sadd(request.key, request.member or "")
                 self._sync_memory()
-            except TypeError as exc:
-                return Response(ok=False, code=StoreErrorCode.BAD_REQUEST,
-                                message=str(exc))
-            return Response(ok=True, value=removed)
-
-        if op is Op.SMEMBERS:
-            yield from self._pay_costs(0.0, src=client_node, dst=self.node)
-            try:
-                members = self.kv.smembers(request.key)
-            except TypeError as exc:
-                return Response(ok=False, code=StoreErrorCode.BAD_REQUEST,
-                                message=str(exc))
-            return Response(ok=True, value=members)
-
-        return Response(ok=False, code=StoreErrorCode.BAD_REQUEST,
-                        message=f"unknown op {op}")
+                return added
+            if op is Op.SREM:
+                yield from self._pay_costs(0.0, src=client_node, dst=self.node)
+                removed = kv.srem(request.key, request.member or "")
+                self._sync_memory()
+                return removed
+            if op is Op.SMEMBERS:
+                yield from self._pay_costs(0.0, src=client_node, dst=self.node)
+                return kv.smembers(request.key)
+        except KeyMissing:
+            raise StoreError(StoreErrorCode.MISSING,
+                             repr(request.key)) from None
+        except (StoreFull, CapExceeded, OutOfMemory) as exc:
+            raise StoreError(StoreErrorCode.FULL, str(exc),
+                             details=self._full_details(exc, size)) from None
+        except (ValueError, TypeError) as exc:
+            raise StoreError(StoreErrorCode.BAD_REQUEST, str(exc)) from None
+        raise StoreError(StoreErrorCode.BAD_REQUEST, f"unknown op {op}")
 
     def _pay_costs(self, nbytes: float, src: Node, dst: Node,
                    batch: int = 1):

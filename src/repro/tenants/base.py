@@ -81,11 +81,6 @@ class InterferenceProbe:
             copy = s.costs.membw_copy_factor
         return cls(by_node, net=net, copy_factor=copy)
 
-    @staticmethod
-    def _store_rate(resource) -> float:
-        return sum(f.rate for f in resource.flows
-                   if f.label.startswith("store:"))
-
     def membw_share(self, node: Node) -> float:
         """Instantaneous fraction of the node's memory bus moved by store
         traffic, derived from the store flows on the node's NIC links
@@ -121,10 +116,6 @@ class InterferenceProbe:
             if link is not None:
                 total += link.class_bytes_of("store")
         return total
-
-    def cpu_rate(self, node: Node) -> float:
-        """Cores currently consumed by store request handling."""
-        return self._store_rate(node.cpu)
 
     def request_rate(self, node: Node, now: float) -> float:
         """Store requests/s arriving at servers on this node."""
@@ -416,9 +407,6 @@ class PhasedWorkload:
 
     name: str
     phases: list[Phase] = field(default_factory=list)
-
-    def total_phases(self) -> int:
-        return len(self.phases)
 
 
 @dataclass

@@ -7,8 +7,8 @@ import pytest
 from repro.cluster import build_das5
 from repro.faults import fault_stats
 from repro.sim import Environment
-from repro.store import (NO_RETRY, Response, RetryPolicy, StoreClient,
-                         StoreError, StoreErrorCode, StoreServer)
+from repro.store import (NO_RETRY, RetryPolicy, StoreClient, StoreError,
+                         StoreErrorCode, StoreServer)
 from repro.units import GB, MB
 
 
@@ -40,7 +40,6 @@ def drive(env, gen):
 class TestErrorTaxonomy:
     def test_codes_compare_as_strings(self):
         assert StoreErrorCode.MISSING == "missing"
-        assert StoreError("missing").code is StoreErrorCode.MISSING
 
     def test_codes_hash_as_their_values(self):
         # Equal objects hash equal: a code and its string value find
@@ -73,14 +72,6 @@ class TestErrorTaxonomy:
         assert err.code is StoreErrorCode.FULL
         assert err.message == "put would exceed capacity"
         assert str(err) == "full: put would exceed capacity"
-
-    def test_raise_for_status(self):
-        with pytest.raises(StoreError) as err:
-            Response(ok=False, code=StoreErrorCode.AUTH,
-                     message="nope").raise_for_status()
-        assert err.value.code is StoreErrorCode.AUTH
-        assert not err.value.retryable
-        Response(ok=True, value=1).raise_for_status()
 
 
 class TestRetryPolicy:

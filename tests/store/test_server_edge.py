@@ -135,18 +135,19 @@ class TestMisc:
             object.__setattr__(req, "op", FakeOp())
             return (yield from client.request(server, req))
 
-        resp = drive(env, flow())
-        assert not resp.ok
-        assert resp.code is StoreErrorCode.BAD_REQUEST
+        with pytest.raises(StoreError) as err:
+            drive(env, flow())
+        assert err.value.code is StoreErrorCode.BAD_REQUEST
+        assert "x" not in server.kv
 
     def test_request_fields_and_defaults(self):
         fields = ("op", "key", "nbytes", "payload", "member", "batch",
-                  "password", "client_node")
+                  "password")
         req = Request(Op.GET)
         assert {f: getattr(req, f) for f in fields} == {
             "op": Op.GET, "key": None, "nbytes": None, "payload": None,
-            "member": None, "batch": 1, "password": "", "client_node": ""}
-        values = (Op.SADD, "k", 3.0, b"abc", "m", 2, "pw", "n0")
+            "member": None, "batch": 1, "password": ""}
+        values = (Op.SADD, "k", 3.0, b"abc", "m", 2, "pw")
         req = Request(*values)
         assert tuple(getattr(req, f) for f in fields) == values
         assert Request(Op.PUT, key="k", payload=b"xy").payload == b"xy"

@@ -1,8 +1,8 @@
 """StoreFull / StoreError structured capacity details.
 
 The capacity-aware write path routes on *which* store is full and *how
-much* space it has left, so the exceptions carry structured fields — and
-keep the legacy message format so old log-parsing assertions still hold.
+much* space it has left, so the exceptions carry structured fields, and
+the synthesized message keeps one fixed format.
 """
 
 import pickle
@@ -94,12 +94,12 @@ class TestServerFullDetails:
 
     def test_free_space_peek(self):
         cluster, server, client = self._rig(capacity=4096.0)
-        assert client.free_space(server) == pytest.approx(4096.0)
+        assert server.free_space() == pytest.approx(4096.0)
 
         def fill():
             yield from client.put(server, "k", nbytes=1000.0)
 
         self._run(cluster, fill())
-        assert client.free_space(server) == pytest.approx(4096.0 - 1128.0)
+        assert server.free_space() == pytest.approx(4096.0 - 1128.0)
         server.crash()
-        assert client.free_space(server) == 0.0
+        assert server.free_space() == 0.0
