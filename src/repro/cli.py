@@ -363,7 +363,7 @@ def main(argv: list[str] | None = None) -> int:
                          "faster")
     pp.add_argument("--store-bytes", type=int, default=None, metavar="B",
                     help="byte budget for the result store (default: "
-                         "unbounded); LRU+TTL eviction keeps it under")
+                         "unbounded); LRU eviction keeps it under")
     pp.add_argument("--out", default=None, metavar="PATH",
                     help="also write the JSON report here")
     pm = sub.add_parser(

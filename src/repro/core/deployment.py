@@ -58,7 +58,7 @@ class DeploymentConfig:
     io_retries: int = 3
     # Flow-solver mode for the fabric: None → FlowNetwork's default
     # ("incremental"); "reference" is the full-recompute baseline the
-    # golden and perf comparisons run against.  Bit-identical
+    # golden and equivalence tests run against.  Bit-identical
     # trajectories in both modes.
     solver: str | None = None
     # Cluster scale multiplier: n_own and n_victim are both multiplied

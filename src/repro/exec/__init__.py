@@ -7,7 +7,7 @@ simulation into a declarative, picklable :class:`ScenarioSpec` and fans
 sweeps out through a :class:`SweepRunner` with a ``serial`` and a
 ``stealing`` backend (a :class:`WorkStealingScheduler` with heartbeats,
 deadlines and crash retries), backed by the content-addressed
-:class:`ResultStore` — an index, LRU+TTL eviction under a byte budget,
+:class:`ResultStore` — an index, LRU eviction under a byte budget,
 orphan GC and runtime estimates, salted by :func:`code_version` — so a
 warm re-run never recomputes an unchanged scenario and a code change
 never serves a stale one.  On top of the warm corpus,

@@ -31,9 +31,9 @@ class ExecStats(Counters):
     usable, ``store_invalidations`` stale entries discarded because the
     code-version salt no longer matched, ``store_stores`` fresh payloads
     written back, ``store_evictions`` LRU evictions under the byte
-    budget, ``store_expirations`` TTL expiries, ``store_gc_orphans``
-    orphaned blobs removed by GC, and ``store_bytes`` is a *gauge* — the
-    indexed on-disk bytes after the last store operation.
+    budget, ``store_gc_orphans`` orphaned blobs removed by GC, and
+    ``store_bytes`` is a *gauge* — the indexed on-disk bytes after the
+    last store operation.
 
     The ``sched_*`` family counts work-stealing scheduler events:
     ``sched_workers_spawned`` worker processes started (including
@@ -46,7 +46,7 @@ class ExecStats(Counters):
     _COUNTERS = ("scenarios_run", "worker_crashes",
                  "sweeps_serial", "sweeps_stealing", "serial_fallbacks",
                  "store_hits", "store_misses", "store_invalidations",
-                 "store_stores", "store_evictions", "store_expirations",
+                 "store_stores", "store_evictions",
                  "store_gc_orphans", "store_bytes",
                  "sched_workers_spawned", "sched_worker_restarts",
                  "sched_requeues", "sched_heartbeats")

@@ -4,17 +4,17 @@ capacity planner share:
 
 * **Content addressing with an index.**  Payload blobs live under
   ``blobs/<fingerprint>.json`` and an ``index.json`` maps each spec's
-  stable ``spec_key`` to its current fingerprint, byte size, store time
-  and last access.  The fingerprint hashes the spec together with a
+  stable ``spec_key`` to its current fingerprint, byte size and last
+  access.  The fingerprint hashes the spec together with a
   *code-version salt* (:func:`code_version`, a digest of every ``repro``
   source file), so a lookup whose indexed fingerprint no longer matches
   the running code is invalidated in place — a model edit can never be
   answered from a stale result.
-* **LRU + TTL eviction under a byte budget.**  ``max_bytes`` caps the
-  indexed payload bytes; every put first expires entries older than
-  ``ttl_s`` and then evicts least-recently-used entries until the store
-  fits.  Repeated figure regenerations and the capacity planner share
-  one warm corpus that cannot grow without bound.
+* **LRU eviction under a byte budget.**  ``max_bytes`` caps the
+  indexed payload bytes; every put evicts least-recently-used entries
+  until the store fits.  Repeated figure regenerations and the
+  capacity planner share one warm corpus that cannot grow without
+  bound.
 * **GC of orphaned blobs.**  A crash between blob write and index write
   leaves an unindexed blob; :meth:`ResultStore.gc` removes those (and
   drops index entries whose blob vanished) without ever touching an
@@ -32,7 +32,7 @@ capacity planner share:
   platforms without :mod:`fcntl` the store degrades to the old
   lock-free behavior.
 * **Counters.**  Hits, misses, invalidations, stores, evictions,
-  expirations, GC'd orphans and the live byte gauge all land on
+  GC'd orphans and the live byte gauge all land on
   :data:`~repro.exec.stats.exec_stats` (``store_*``), read through
   ``metrics_registry`` like every other executor counter.
 
@@ -53,7 +53,6 @@ import hashlib
 import json
 import os
 import tempfile
-import time
 from pathlib import Path
 
 try:  # POSIX only; the store degrades to lock-free elsewhere.
@@ -127,20 +126,17 @@ def atomic_write_json(path: Path, obj) -> None:
 
 
 class ResultStore:
-    """Content-addressed scenario-result store with an index, LRU+TTL
+    """Content-addressed scenario-result store with an index, LRU
     eviction under *max_bytes*, orphan GC and runtime estimates.
 
-    ``max_bytes=None`` disables the byte budget and ``ttl_s=None``
-    disables expiry (entries then only leave through invalidation or
-    explicit :meth:`clear`).  *clock* exists for tests: it must return
-    seconds like :func:`time.time` and drives TTL expiry only — LRU
-    ordering uses a persisted logical access sequence, so eviction
-    order is deterministic regardless of wall-clock resolution.
+    ``max_bytes=None`` disables the byte budget (entries then only leave
+    through invalidation or explicit :meth:`clear`).  LRU ordering uses
+    a persisted logical access sequence, so eviction order is
+    deterministic regardless of wall-clock resolution.
     """
 
     def __init__(self, root: str | os.PathLike | None = None,
-                 max_bytes: int | None = None, ttl_s: float | None = None,
-                 salt: str | None = None, clock=time.time):
+                 max_bytes: int | None = None, salt: str | None = None):
         if root is None:
             root = os.environ.get(STORE_DIR_ENV, DEFAULT_STORE_DIR)
         self.root = Path(root)
@@ -148,9 +144,7 @@ class ResultStore:
         self.index_path = self.root / "index.json"
         self.lock_path = self.root / "index.lock"
         self.max_bytes = max_bytes
-        self.ttl_s = ttl_s
         self.salt = code_version() if salt is None else salt
-        self._clock = clock
         self._index: dict | None = None
         self._lock_depth = 0
 
@@ -224,8 +218,7 @@ class ResultStore:
         An indexed entry whose fingerprint belongs to another code
         version is removed and counted as an invalidation; an entry
         whose blob is missing or unreadable is dropped and counted as a
-        miss; a TTL-expired entry is dropped and counted as an expiry.
-        Runs under the index lock: even the hit path mutates the index
+        miss.  Runs under the index lock: even the hit path mutates the index
         (the LRU access touch).
         """
         with self._locked():
@@ -241,13 +234,6 @@ class ResultStore:
         if entry["fingerprint"] != spec.fingerprint(self.salt):
             self._drop(key, entry)
             exec_stats.store_invalidations += 1
-            exec_stats.store_misses += 1
-            self._save_index()
-            return None
-        if self.ttl_s is not None and \
-                self._clock() - entry["stored_at"] > self.ttl_s:
-            self._drop(key, entry)
-            exec_stats.store_expirations += 1
             exec_stats.store_misses += 1
             self._save_index()
             return None
@@ -292,7 +278,6 @@ class ResultStore:
             self.blob_path(old["fingerprint"]).unlink(missing_ok=True)
         entry = {"fingerprint": fingerprint,
                  "bytes": path.stat().st_size,
-                 "stored_at": self._clock(),
                  "last_access": 0}
         index["entries"][key] = entry
         self._touch(entry)
@@ -312,23 +297,16 @@ class ResultStore:
 
     # -- eviction -----------------------------------------------------------------
     def _enforce_budget(self) -> None:
-        """Expire TTL'd entries, then evict LRU until under *max_bytes*.
+        """Evict LRU entries until the store is under *max_bytes*.
 
         The byte budget is a hard cap: if the newest entry alone
         exceeds it, that entry is evicted too (its runtime estimate
         survives), so ``total_bytes() <= max_bytes`` always holds after
         a put.
         """
-        index = self._load_index()
-        entries = index["entries"]
-        if self.ttl_s is not None:
-            now = self._clock()
-            for key in [k for k, e in entries.items()
-                        if now - e["stored_at"] > self.ttl_s]:
-                self._drop(key, entries[key])
-                exec_stats.store_expirations += 1
         if self.max_bytes is None:
             return
+        entries = self._load_index()["entries"]
         total = sum(e["bytes"] for e in entries.values())
         # Oldest access first; ties (never expected — the sequence is
         # unique) break on key for determinism.
@@ -406,7 +384,6 @@ class ResultStore:
         return {"entries": len(index["entries"]),
                 "bytes": self.total_bytes(),
                 "max_bytes": self.max_bytes,
-                "ttl_s": self.ttl_s,
                 "estimates": len(index["estimates"]),
                 "root": str(self.root)}
 

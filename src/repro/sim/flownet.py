@@ -68,7 +68,7 @@ All branches apply the same IEEE-754 operations to the same operands
 order), so they agree bit for bit.
 
 Process-wide :data:`flownet_stats` counters expose solves, rounds and
-flows/links touched for the perf suite (``benchmarks/bench_perf_suite.py``).
+flows/links touched; ``tests/sim/test_solver_budgets.py`` gates them.
 """
 
 from __future__ import annotations
@@ -300,8 +300,9 @@ def progressive_fill(flows: list[NetFlow], links: Iterable[Link]) -> None:
     The standalone oracle: one coupled fill over everything it is given,
     exactly the classic dict-based algorithm, deliberately left
     unvectorized — it is both the equivalence-suite ground truth and the
-    retained pre-optimization path the ``"reference"`` solver mode times
-    against.  :class:`FlowNetwork` instead fills each connected component
+    full-recompute path of the ``"reference"`` solver mode, which the
+    Fig. 2 golden test and the equivalence tests compare against.
+    :class:`FlowNetwork` instead fills each connected component
     separately (identical allocation — max-min fairness is separable
     across components) so that incremental and full solves agree bit for
     bit on the tracked scenarios.
@@ -358,9 +359,9 @@ class FlowNetwork(_FlowOwner):
     only production mode) re-fills only the connected components touched
     since the last solve; ``"reference"`` re-fills everything from
     scratch with :func:`progressive_fill`, synchronously, on every
-    mutation — the fixed baseline the Fig. 2 golden test, the
-    trace-equivalence suite and the perf suite compare against.  Both
-    produce bit-identical trajectories on the tracked scenarios.
+    mutation — the fixed baseline the Fig. 2 golden test and the
+    trace-equivalence suite compare against.  Both produce
+    bit-identical trajectories on the tracked scenarios.
     """
 
     SOLVERS = ("incremental", "reference")
@@ -613,9 +614,9 @@ class FlowNetwork(_FlowOwner):
         self._dirty.update(link_slots)
         self._ops_since_flush += 1
         if self.solver == "reference":
-            # Pre-PR behavior, retained for the perf suite: solve
-            # synchronously on every mutation, no coalescing (batch()
-            # blocks are deliberately ignored).
+            # The baseline the golden and equivalence tests compare
+            # against: solve synchronously on every mutation, no
+            # coalescing (batch() blocks are deliberately ignored).
             self._pending = True
             self._flush()
             return
@@ -827,11 +828,11 @@ class FlowNetwork(_FlowOwner):
         """Re-fill the dirty components (or everything, per solver mode)."""
         stats = flownet_stats
         if self.solver == "reference":
-            # The verbatim pre-PR solver: one coupled dict-based fill over
-            # every flow and every link.  (Bit-equal to the per-component
-            # fill below whenever the round-delta schedule coincides — the
-            # golden tests and the perf suite assert trajectory identity
-            # on the tracked scenarios.)
+            # The original solver: one coupled dict-based fill over every
+            # flow and every link.  (Bit-equal to the per-component fill
+            # below whenever the round-delta schedule coincides — the
+            # golden and equivalence tests assert trajectory identity on
+            # the tracked scenarios.)
             live = self._live
             stats.full_solves += 1
             stats.flows_touched += len(live)

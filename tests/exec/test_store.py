@@ -1,4 +1,4 @@
-"""ResultStore: index, LRU+TTL eviction, GC, estimates, counters."""
+"""ResultStore: index, LRU eviction, GC, estimates, counters."""
 
 import json
 import os
@@ -19,14 +19,6 @@ def spec_n(n: int) -> ScenarioSpec:
 def payload_of(size: int) -> dict:
     """A payload whose blob lands within a few bytes of *size*."""
     return {"pad": "x" * size}
-
-
-class FakeClock:
-    def __init__(self, t: float = 0.0):
-        self.t = t
-
-    def __call__(self) -> float:
-        return self.t
 
 
 class TestBasics:
@@ -128,27 +120,27 @@ class TestEviction:
         # ...but its runtime estimate survives eviction.
         assert store.estimate(spec_n(1)) == 3.0
 
-    def test_ttl_expiry_on_get(self, store_dir):
-        clock = FakeClock(100.0)
-        store = ResultStore(salt="v1", ttl_s=60.0, clock=clock)
-        store.put(spec_n(1), {"ok": 1})
-        clock.t = 150.0
-        assert store.get(spec_n(1)) == {"ok": 1}   # within TTL
-        clock.t = 161.0
-        assert store.get(spec_n(1)) is None
-        assert exec_stats.store_expirations == 1
-        assert len(store) == 0
-
-    def test_ttl_expiry_on_put_sweeps_old_entries(self, store_dir):
-        clock = FakeClock(0.0)
-        store = ResultStore(salt="v1", ttl_s=60.0, clock=clock)
-        store.put(spec_n(1), {"ok": 1})
-        store.put(spec_n(2), {"ok": 2})
-        clock.t = 100.0
-        store.put(spec_n(3), {"ok": 3})
-        assert exec_stats.store_expirations == 2
-        assert len(store) == 1
-        assert store.get(spec_n(3)) == {"ok": 3}
+    def test_index_with_stored_at_still_loads_and_evicts_lru(self, store_dir):
+        # Version-1 indexes written while the store had a TTL carry a
+        # per-entry ``stored_at``: they must still answer hits and evict
+        # LRU, so existing store directories keep their warm corpus.
+        blob_size = ResultStore(root=store_dir / "probe", salt="v1").put(
+            spec_n(0), payload_of(100)).stat().st_size
+        old = ResultStore(salt="v1")
+        for n in range(1, 4):
+            old.put(spec_n(n), payload_of(100))
+        index = json.loads(old.index_path.read_text())
+        index["version"] = 1
+        for entry in index["entries"].values():
+            entry["stored_at"] = 1.0e9
+        atomic_write_json(old.index_path, index)
+        store = ResultStore(salt="v1", max_bytes=3 * blob_size + 10)
+        assert store.get(spec_n(1)) == payload_of(100)
+        store.put(spec_n(4), payload_of(100))
+        assert exec_stats.store_evictions == 1
+        assert store.get(spec_n(2)) is None       # the LRU victim
+        for n in (1, 3, 4):
+            assert store.get(spec_n(n)) is not None
 
     def test_byte_gauge_reconciles_with_disk(self, store_dir):
         store = ResultStore(salt="v1", max_bytes=100_000)

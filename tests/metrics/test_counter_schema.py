@@ -33,7 +33,7 @@ SCHEMA = {
         "scenarios_run", "worker_crashes", "sweeps_serial",
         "sweeps_stealing", "serial_fallbacks", "store_hits",
         "store_misses", "store_invalidations", "store_stores",
-        "store_evictions", "store_expirations", "store_gc_orphans",
+        "store_evictions", "store_gc_orphans",
         "store_bytes", "sched_workers_spawned", "sched_worker_restarts",
         "sched_requeues", "sched_heartbeats"), int),
     "solver": dict.fromkeys((

@@ -101,7 +101,7 @@ def test_modes_trace_equivalent(n_nodes, schedule, horizon):
     reference mode's one global fill can split a round's delta across
     components differently than per-component fills, so arbitrary graphs
     agree to rounding, not bitwise.  (On the tracked single-component
-    scenarios — the Fig. 2 golden below, the perf suite — agreement *is*
+    scenarios — the Fig. 2 golden below, test_solver_budgets — agreement *is*
     bitwise and asserted exactly there.)
     """
     traces = []
