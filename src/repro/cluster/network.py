@@ -29,19 +29,17 @@ __all__ = ["Fabric"]
 class Fabric:
     """Owns the flow network and the per-node NIC + loopback links.
 
-    The tx/rx NIC links stay full :class:`Link` handles (nodes hold
-    them, probes read them); the fabric-internal IPoIB pair and the
-    loopback are *lean* link slots (``FlowNetwork.add_link_lean``) —
-    three of a node's five links cost no Python object at ×64 scale
-    unless a fault hook or test asks for the handle (DESIGN.md §13).
+    Each node gets five :class:`Link` handles on :attr:`net`: the tx/rx
+    NIC links (held by the node, read by probes), the IPoIB pair and the
+    loopback (held here).
     """
 
     def __init__(self, env: Environment, solver: str | None = None):
         self.env = env
         self.net = FlowNetwork(env, solver=solver)
-        self._loopback: dict[str, int] = {}
-        self._ipoib_tx: dict[str, int] = {}
-        self._ipoib_rx: dict[str, int] = {}
+        self._loopback: dict[str, Link] = {}
+        self._ipoib_tx: dict[str, Link] = {}
+        self._ipoib_rx: dict[str, Link] = {}
         self._nodes: dict[str, Node] = {}
         self._nominal: dict[str, float] = {}
 
@@ -60,20 +58,17 @@ class Fabric:
         spec = node.spec
         node.tx = self.net.add_link(f"{node.name}.tx", spec.nic_bandwidth)
         node.rx = self.net.add_link(f"{node.name}.rx", spec.nic_bandwidth)
-        self._ipoib_tx[node.name] = self.net.add_link_lean(
+        self._ipoib_tx[node.name] = self.net.add_link(
             f"{node.name}.itx", spec.ipoib_bandwidth)
-        self._ipoib_rx[node.name] = self.net.add_link_lean(
+        self._ipoib_rx[node.name] = self.net.add_link(
             f"{node.name}.irx", spec.ipoib_bandwidth)
-        self._loopback[node.name] = self.net.add_link_lean(
+        self._loopback[node.name] = self.net.add_link(
             f"{node.name}.lo", spec.memory_bandwidth)
         self._nodes[node.name] = node
-        # Nominal capacities come from the spec, not from links_of():
-        # reading the handles here would materialize the lean IPoIB
-        # links for every node at attach time.
-        self._nominal[f"{node.name}.tx"] = spec.nic_bandwidth
-        self._nominal[f"{node.name}.rx"] = spec.nic_bandwidth
-        self._nominal[f"{node.name}.itx"] = spec.ipoib_bandwidth
-        self._nominal[f"{node.name}.irx"] = spec.ipoib_bandwidth
+        # The capacities a fault hook restores: read now, before any
+        # degrade can change them.
+        for link in self.links_of(node.name):
+            self._nominal[link.name] = link.capacity
 
     def attach_all(self, nodes: Iterable[Node]) -> None:
         for n in nodes:
@@ -93,10 +88,9 @@ class Fabric:
 
     # -- transfers -------------------------------------------------------------
     def path(self, src: Node, dst: Node,
-             transport: str = "verbs") -> tuple:
-        """The link sequence a transfer crosses (Link handles for the
-        NIC links, lean slots for IPoIB/loopback — ``FlowNetwork
-        .transfer`` accepts both)."""
+             transport: str = "verbs") -> tuple[Link, ...]:
+        """The links a transfer crosses: the loopback on one node, else
+        ``src.tx``/``dst.rx``, wrapped in the IPoIB pair for ``"tcp"``."""
         if src.name not in self._nodes or dst.name not in self._nodes:
             raise ValueError("both endpoints must be attached to this fabric")
         if src.name == dst.name:
@@ -138,13 +132,10 @@ class Fabric:
 
     def links_of(self, name: str) -> tuple[Link, ...]:
         """Every NIC-side link of one node (tx/rx, IPoIB pair, loopback
-        excluded — a partitioned node can still talk to itself).
-        Materializes the lean IPoIB handles; only fault hooks and tests
-        come through here, so ×64 steady state stays handle-free."""
+        excluded — a partitioned node can still talk to itself)."""
         node = self._nodes[name]
         assert node.tx is not None and node.rx is not None
-        return (node.tx, node.rx, self.net.link(f"{name}.itx"),
-                self.net.link(f"{name}.irx"))
+        return (node.tx, node.rx, self._ipoib_tx[name], self._ipoib_rx[name])
 
     def degrade_node(self, name: str, factor: float):
         """Scale one node's NIC capacities by *factor*; returns a

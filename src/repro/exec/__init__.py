@@ -5,8 +5,8 @@ five α scenarios, Figs. 3-5 run a tenant suite under each scavenging
 workload, Table II sweeps node counts).  This package turns one such
 simulation into a declarative, picklable :class:`ScenarioSpec` and fans
 sweeps out through a :class:`SweepRunner` with a ``serial`` and a
-``stealing`` backend (a :class:`WorkStealingScheduler` with heartbeats,
-deadlines and crash retries), backed by the content-addressed
+``stealing`` backend (a :class:`WorkStealingScheduler` with liveness
+checks, deadlines and crash retries), backed by the content-addressed
 :class:`ResultStore` — an index, LRU eviction under a byte budget,
 orphan GC and runtime estimates, salted by :func:`code_version` — so a
 warm re-run never recomputes an unchanged scenario and a code change

@@ -88,7 +88,7 @@ class SweepRunner:
     ``backend="stealing"`` fans out over *jobs* long-lived spawn workers
     pulling from a shared priority queue
     (:class:`~repro.exec.scheduler.WorkStealingScheduler`) with
-    heartbeats and crash retries.  Unnamed, the backend follows from
+    liveness checks and crash retries.  Unnamed, the backend follows from
     *jobs*: ``stealing`` above one job, ``serial`` otherwise.  With a
     :class:`ResultStore` as *cache*, stored scenarios are answered
     without executing anything, fresh payloads are stored on the way
@@ -119,7 +119,7 @@ class SweepRunner:
         self.cache = cache
         self.auto_fallback = auto_fallback
         #: Optional :class:`~repro.exec.scheduler.SchedulerPolicy` for
-        #: the stealing backend (heartbeat/deadline/retry posture).
+        #: the stealing backend (deadline/retry posture).
         self.policy = policy
         #: The last stealing run's per-task completion timeline
         #: (benchmark artifact); empty for the serial backend.

@@ -1,4 +1,4 @@
-"""Work-stealing sweep scheduler: shared queue, heartbeats, retries.
+"""Work-stealing sweep scheduler: shared queue, liveness, retries.
 
 The parallel backend of :class:`~repro.exec.runner.SweepRunner`: an
 explicit shared work queue and long-lived spawn workers, so the parent
@@ -16,10 +16,10 @@ retried task, not the whole sweep:
   :meth:`~repro.exec.spec.ScenarioSpec.cost_hint` when cold, ties
   broken by spec order.  Ordering is a pure function of the specs and
   the estimate table, so schedules are reproducible.
-* **Heartbeats + deadline/retry.**  Workers beat over a per-worker
-  pipe from a daemon thread; the parent polls worker liveness and,
-  with a *deadline_s* policy, terminates workers whose current task
-  has overrun it.  A spec whose worker died or was killed is requeued
+* **Liveness + deadline/retry.**  Each worker reports over its own
+  pipe; the parent polls ``Process.is_alive()`` (a dead worker's pipe
+  also reads EOF) and, with a *deadline_s* policy, terminates workers
+  whose current task has overrun it.  A spec whose worker died or was killed is requeued
   (up to *max_retries*) and re-executed — deterministic payloads make
   the retry byte-identical — while a spec that *raises* surfaces
   immediately as the same typed :class:`~repro.exec.runner
@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import multiprocessing
 import queue as queue_mod
-import threading
 import time
 from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
@@ -57,14 +56,13 @@ from .stats import exec_stats
 __all__ = ["WorkStealingScheduler", "SchedulerPolicy"]
 
 #: Message kinds on the worker pipes: (kind, worker_id, spec_idx, data).
-_HB, _START, _OK, _ERR, _BYE = "hb", "start", "ok", "err", "bye"
+_START, _OK, _ERR, _BYE = "start", "ok", "err", "bye"
 
 
 @dataclass(frozen=True)
 class SchedulerPolicy:
     """Liveness and retry posture of one scheduler.
 
-    *heartbeat_interval* is the worker beat period (wall seconds);
     *deadline_s* bounds one task's wall time — a worker overrunning it
     is terminated and its task requeued (None disables deadline kills,
     leaving only death detection); *max_retries* bounds how often one
@@ -79,7 +77,6 @@ class SchedulerPolicy:
     otherwise respawn forever, making no progress.
     """
 
-    heartbeat_interval: float = 0.2
     deadline_s: float | None = None
     max_retries: int = 2
     poll_s: float = 0.05
@@ -90,57 +87,35 @@ class SchedulerPolicy:
         return (self.max_retries + 1) * jobs
 
 
-def _worker_main(worker_id: int, task_q, conn,
-                 heartbeat_interval: float) -> None:  # pragma: no cover
+def _worker_main(worker_id: int, task_q, conn) -> None:  # pragma: no cover
     """Worker loop (runs in a spawned process; coverage never sees it).
 
     Pulls ``(spec_idx, spec)`` tasks until the ``None`` sentinel and
     reports upward over its private pipe — synchronously, so a message
     sent is a message the parent will receive even if this process dies
     the next instruction (the feeder-thread loss the module docstring
-    describes).  A daemon thread beats on the same pipe so the parent
-    can tell a busy worker from a dead one; the thread lock only
-    serializes the two *threads of this process* — no cross-worker lock
-    exists for a terminated worker to abandon.  Executor raises are
-    rendered to strings before crossing the boundary (the
-    ``_WorkerFailure`` lesson: exceptions with exotic ``__init__``
-    signatures must never travel raw).
+    describes).  Executor raises are rendered to strings before crossing
+    the boundary (the ``_WorkerFailure`` lesson: exceptions with exotic
+    ``__init__`` signatures must never travel raw).
     """
     from .runner import _execute_timed, _failure_message
 
-    stop = threading.Event()
-    send_lock = threading.Lock()
-
-    def send(message) -> None:
-        with send_lock:
-            conn.send(message)
-
-    def beat() -> None:
-        while not stop.is_set():
-            try:
-                send((_HB, worker_id, None, None))
-            except (OSError, ValueError):
-                return  # pipe closed: parent is shutting down
-            stop.wait(heartbeat_interval)
-
-    threading.Thread(target=beat, daemon=True).start()
     try:
         while True:
             task = task_q.get()
             if task is None:
                 break
             idx, spec = task
-            send((_START, worker_id, idx, None))
+            conn.send((_START, worker_id, idx, None))
             try:
                 payload, wall = _execute_timed(spec)
             except Exception as exc:
-                send((_ERR, worker_id, idx, _failure_message(exc)))
+                conn.send((_ERR, worker_id, idx, _failure_message(exc)))
             else:
-                send((_OK, worker_id, idx, (payload, wall)))
+                conn.send((_OK, worker_id, idx, (payload, wall)))
     finally:
-        stop.set()
         try:
-            send((_BYE, worker_id, None, None))
+            conn.send((_BYE, worker_id, None, None))
         except (OSError, ValueError):
             pass
         conn.close()
@@ -225,7 +200,7 @@ class WorkStealingScheduler:
             reader, writer = ctx.Pipe(duplex=False)
             proc = ctx.Process(
                 target=_worker_main,
-                args=(next_wid, task_q, writer, pol.heartbeat_interval),
+                args=(next_wid, task_q, writer),
                 daemon=True)
             proc.start()
             # Close the parent's copy of the write end: once the worker
@@ -294,9 +269,7 @@ class WorkStealingScheduler:
             except (EOFError, OSError):
                 drop_conn(wid)
                 return True
-            if kind == _HB:
-                exec_stats.sched_heartbeats += 1
-            elif kind == _START:
+            if kind == _START:
                 in_flight[wid] = idx
                 started_at[wid] = time.monotonic()
             elif kind == _OK:

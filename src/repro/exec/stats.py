@@ -38,9 +38,8 @@ class ExecStats(Counters):
     The ``sched_*`` family counts work-stealing scheduler events:
     ``sched_workers_spawned`` worker processes started (including
     replacements), ``sched_worker_restarts`` workers replaced after a
-    crash or a blown task deadline, ``sched_requeues`` tasks put back on
-    the shared queue for retry, and ``sched_heartbeats`` heartbeat
-    messages received from workers.
+    crash or a blown task deadline, and ``sched_requeues`` tasks put
+    back on the shared queue for retry.
     """
 
     _COUNTERS = ("scenarios_run", "worker_crashes",
@@ -49,7 +48,7 @@ class ExecStats(Counters):
                  "store_stores", "store_evictions",
                  "store_gc_orphans", "store_bytes",
                  "sched_workers_spawned", "sched_worker_restarts",
-                 "sched_requeues", "sched_heartbeats")
+                 "sched_requeues")
     _CAST = int
     __slots__ = _COUNTERS
 

@@ -3,9 +3,9 @@
 The DAS-5 fabric the paper runs on is FDR InfiniBand with (approximately)
 full bisection bandwidth, so the only constrained elements are the node
 NICs.  We model the network as a set of directed :class:`Link` capacities
-(one egress and one ingress link per node, created by the cluster layer);
-a :class:`NetFlow` crosses its source's egress link and its destination's
-ingress link, and the classic **progressive-filling** algorithm computes the
+(per node: NIC egress and ingress, an IPoIB pair and a loopback, created
+by the cluster layer); a :class:`NetFlow` crosses its source's egress
+link and its destination's ingress link, and the classic **progressive-filling** algorithm computes the
 global max-min fair rate vector every time the flow set changes.
 
 Progressive filling: raise all unfixed flow rates at the same speed; when a
@@ -46,10 +46,10 @@ network's attached flows sit in ``_live`` in creation order, so settle
 and flush cost scales with the live population.  Per-link numbers
 (capacity, used rate, busy integral) are Python floats in lists owned by
 the network and indexed by link slot; a link's class-byte row is created
-when the first labelled flow crosses it.  A :class:`Link` is a handle
-over its slot; a standalone Link (the equivalence suite's detached
-clones) keeps them in scalar fallbacks, so the dict-based reference
-oracle runs on it unmodified.  Settle advances busy integrals only on
+when the first labelled flow crosses it.  Every link is one
+:class:`Link` handle over its slot, made by :meth:`FlowNetwork.add_link`
+and bound to that network (DESIGN.md §13); a flow keeps the Link tuple
+it was given and walks its slots.  Settle advances busy integrals only on
 *loaded* links, the ones some attached flow crosses: every other link's
 used rate is 0.0.  Every order-sensitive float reduction (class-byte
 accumulation, per-link used-rate sums) runs in *creation order*,
@@ -133,73 +133,40 @@ flownet_stats = FlowNetStats()
 class Link:
     """A directed capacity (one NIC direction, or any shared pipe).
 
+    A handle bound to the :class:`FlowNetwork` that made it
+    (:meth:`FlowNetwork.add_link` is the only constructor): it holds its
+    name, network and slot, and reads everything else from the network's
+    per-link lists.
+
     ``class_bytes`` accumulates, per label prefix (the part of a flow's
     label before the first ``:``), the bytes that traffic class has moved
     through the link — how the tenant models measure the scavenging
     store's average pressure over a window without burst aliasing.
-
-    While owned by a :class:`FlowNetwork` (``_slot >= 0``) the mutable
-    numbers live in the network's per-link lists; a standalone link (the
-    equivalence suite's detached clones) uses the scalar fallbacks.
     """
 
-    __slots__ = ("name", "_net", "_slot", "_cap_s", "_used_s", "_busy_s",
-                 "_cb_s")
+    __slots__ = ("name", "_net", "_slot")
 
-    def __init__(self, name: str, capacity: float):
-        if capacity <= 0:
-            raise SimulationError(f"link {name!r}: capacity must be positive")
+    def __init__(self, name: str, net: "FlowNetwork", slot: int):
         self.name = name
-        self._net: FlowNetwork | None = None
-        self._slot = -1
-        self._cap_s = float(capacity)
-        self._used_s = 0.0
-        self._busy_s = 0.0
-        self._cb_s: dict[str, float] = {}
+        self._net = net
+        self._slot = slot
 
     @property
     def capacity(self) -> float:
-        s = self._slot
-        if s >= 0:
-            return self._net._l_cap[s]
-        return self._cap_s
+        return self._net._l_cap[self._slot]
 
     @property
     def _used_rate(self) -> float:
-        s = self._slot
-        if s >= 0:
-            return self._net._l_used[s]
-        return self._used_s
+        return self._net._l_used[self._slot]
 
     @_used_rate.setter
     def _used_rate(self, value: float) -> None:
-        s = self._slot
-        if s >= 0:
-            self._net._l_used[s] = float(value)
-        else:
-            self._used_s = float(value)
-
-    @property
-    def _busy_integral(self) -> float:
-        s = self._slot
-        if s >= 0:
-            return self._net._l_busy[s]
-        return self._busy_s
-
-    @_busy_integral.setter
-    def _busy_integral(self, value: float) -> None:
-        s = self._slot
-        if s >= 0:
-            self._net._l_busy[s] = float(value)
-        else:
-            self._busy_s = float(value)
+        self._net._l_used[self._slot] = float(value)
 
     @property
     def class_bytes(self) -> dict[str, float]:
         """Per-class byte totals (materialized from the accumulator)."""
         net = self._net
-        if net is None:
-            return self._cb_s
         row = net._class_acc[self._slot]
         if row is None:
             return {}
@@ -208,8 +175,6 @@ class Link:
     def class_bytes_of(self, prefix: str) -> float:
         """``class_bytes.get(prefix, 0.0)`` without building the dict."""
         net = self._net
-        if net is None:
-            return self._cb_s.get(prefix, 0.0)
         row = net._class_acc[self._slot]
         idx = net._prefix_idx.get(prefix)
         if row is None or idx is None or idx >= len(row):
@@ -220,7 +185,7 @@ class Link:
     def used_rate(self) -> float:
         """Instantaneous allocated rate (flushes a pending batched solve)."""
         net = self._net
-        if net is not None and net._pending:
+        if net._pending:
             net._flush()
         return self._used_rate
 
@@ -239,26 +204,22 @@ class Link:
 class NetFlow(_FlowBase):
     """A transfer crossing one or more links.
 
-    Network-owned flows record their path as link *slots* only
-    (``_lslots``); the ``links`` tuple of :class:`Link` handles is
-    materialized lazily on first access (DESIGN.md §13's memory-lean link
-    state — a flow across lean fabric-internal links costs no Link
-    objects until someone asks for them).  Standalone flows (the
-    equivalence suite's oracle clones) still pass a Link tuple directly.
+    ``links`` is the :class:`Link` tuple the flow was given; ``_lslots``
+    holds the same path as link slots, the form the solve and settle
+    loops walk.  A flow made outside a network (the equivalence suite's
+    oracle clones) crosses links of a second network and is filled by
+    :func:`progressive_fill` alone.
     """
 
-    __slots__ = ("class_prefix", "_net", "_seq", "_links_t", "_lslots",
+    __slots__ = ("class_prefix", "links", "_net", "_seq", "_lslots",
                  "_pidx")
 
-    def __init__(self, env: Environment, links: tuple[Link, ...] | None,
+    def __init__(self, env: Environment, links: tuple[Link, ...],
                  work: float | None, cap: float, label: str,
-                 net: "FlowNetwork | None" = None,
-                 lslots: tuple[int, ...] | None = None):
+                 net: "FlowNetwork | None" = None):
         super().__init__(env, work, cap, label)
-        if lslots is None:
-            lslots = tuple(l._slot for l in links)
-        self._links_t = links
-        self._lslots = lslots
+        self.links = links
+        self._lslots = tuple([l._slot for l in links])
         # Interned once here instead of a str.partition per flow per
         # settle (the class prefix feeds Link.class_bytes accounting).
         prefix, sep, _rest = label.partition(":")
@@ -266,16 +227,6 @@ class NetFlow(_FlowBase):
         self._net = net
         self._seq = 0  # creation order within a FlowNetwork (see _solve)
         self._pidx = -1  # interned class_prefix index while attached
-
-    @property
-    def links(self) -> tuple[Link, ...]:
-        """The flow's path as Link handles (materialized on demand)."""
-        t = self._links_t
-        if t is None:
-            net = self._net
-            t = tuple(net._materialize(s) for s in self._lslots)
-            self._links_t = t
-        return t
 
     @property
     def rate(self) -> float:
@@ -374,10 +325,8 @@ class FlowNetwork(_FlowOwner):
                                   f"choose one of {self.SOLVERS}")
         super().__init__(env)
         self.solver = solver
-        self._links: dict[str, Link] = {}
         self._link_slot: dict[str, int] = {}
-        self._link_objs: list[Link | None] = []
-        self._link_names: list[str] = []
+        self._link_objs: list[Link] = []
         # -- per-link state, Python floats indexed by link slot (slots are
         # never freed: topology is add-only)
         self._nl = 0
@@ -405,48 +354,26 @@ class FlowNetwork(_FlowOwner):
         self._flow_seq = 0
 
     # -- topology -------------------------------------------------------------
-    def add_link_lean(self, name: str, capacity: float) -> int:
-        """Allocate a link *slot* without creating a :class:`Link` handle.
-
-        The memory-lean path for fabric-internal links at ×64 scale
-        (DESIGN.md §13): a link's mutable state lives in the network's
-        per-link lists anyway, so the handle object is pure overhead until
-        someone needs one — :meth:`_materialize` builds it on demand
-        (``link()``, the ``links`` property, ``NetFlow.links``).  Flows
-        accept raw slots wherever they accept Links.
-        """
+    def add_link(self, name: str, capacity: float) -> Link:
+        """Create a link and return its handle (the only way to make one)."""
         if name in self._link_slot:
             raise SimulationError(f"duplicate link {name!r}")
         if capacity <= 0:
             raise SimulationError(f"link {name!r}: capacity must be positive")
         s = self._nl
+        link = Link(name, self, s)
         self._l_cap.append(float(capacity))
         self._l_used.append(0.0)
         self._l_busy.append(0.0)
         self._class_acc.append(None)
         self._nl += 1
         self._link_slot[name] = s
-        self._link_names.append(name)
-        self._link_objs.append(None)
+        self._link_objs.append(link)
         self._flows_of.append(set())
-        return s
-
-    def add_link(self, name: str, capacity: float) -> Link:
-        return self._materialize(self.add_link_lean(name, capacity))
-
-    def _materialize(self, slot: int) -> Link:
-        """The Link handle for *slot*, created on first request."""
-        link = self._link_objs[slot]
-        if link is None:
-            link = Link(self._link_names[slot], self._l_cap[slot])
-            link._net = self
-            link._slot = slot
-            self._link_objs[slot] = link
-            self._links[link.name] = link
         return link
 
     def link(self, name: str) -> Link:
-        return self._materialize(self._link_slot[name])
+        return self._link_objs[self._link_slot[name]]
 
     def set_capacity(self, link: Link, capacity: float) -> None:
         """Change a link's capacity and re-fair-share every flow that can
@@ -456,10 +383,10 @@ class FlowNetwork(_FlowOwner):
         partition, capacity ≈ 0) immediately slows every flow crossing the
         link, which is what makes client deadlines fire.
         """
+        s = self._resolve_slot(link)
         if capacity <= 0:
             raise SimulationError(
                 f"link {link.name!r}: capacity must be positive")
-        s = self._resolve_slot(link)
         self._settle()
         capacity = float(capacity)
         old = self._l_cap[s]
@@ -470,21 +397,15 @@ class FlowNetwork(_FlowOwner):
         self._l_cap[s] = capacity
         self._mark((s,))
 
-    def _resolve_slot(self, link: "Link | int") -> int:
-        """Validate *link* (a handle or a lean slot) against this network."""
-        if isinstance(link, (int, np.integer)):
-            s = int(link)
-            if not 0 <= s < self._nl:
-                raise SimulationError(
-                    f"link slot {s} not in this network")
-            return s
-        if link._net is not self or link._slot < 0:
-            raise SimulationError(f"link {link.name!r} not in this network")
+    def _resolve_slot(self, link: Link) -> int:
+        """*link*'s slot, after checking it is a Link of this network."""
+        if getattr(link, "_net", None) is not self:
+            raise SimulationError(f"{link!r} is not a link of this network")
         return link._slot
 
     @property
     def links(self) -> tuple[Link, ...]:
-        return tuple(self._materialize(s) for s in range(self._nl))
+        return tuple(self._link_objs)
 
     @property
     def flows(self) -> tuple[NetFlow, ...]:
@@ -513,20 +434,18 @@ class FlowNetwork(_FlowOwner):
                 self._flush()
 
     # -- flows ----------------------------------------------------------------
-    def transfer(self, links: "Iterable[Link | int]", nbytes: float | None,
+    def transfer(self, links: Iterable[Link], nbytes: float | None,
                  cap: float = math.inf, label: str = "") -> NetFlow:
-        """Start a transfer across *links*; wait on ``flow.done``.
-
-        *links* may mix :class:`Link` handles and lean link slots (the
-        ints :meth:`add_link_lean` returns) — the flow stores slots
-        either way and materializes handles only if ``flow.links`` is
-        read.
-        """
-        lslots = tuple(self._resolve_slot(l) for l in links)
-        if not lslots:
+        """Start a transfer across *links*; wait on ``flow.done``."""
+        links = tuple(links)
+        if not links:
             raise SimulationError("a flow needs at least one link")
-        flow = NetFlow(self.env, None, nbytes, cap, label, net=self,
-                       lslots=lslots)
+        for l in links:
+            if getattr(l, "_net", None) is not self:
+                raise SimulationError(
+                    f"{l!r} is not a link of this network")
+        flow = NetFlow(self.env, links, nbytes, cap, label, net=self)
+        lslots = flow._lslots
         self._settle()
         flow._seq = self._flow_seq
         self._flow_seq += 1
@@ -558,7 +477,7 @@ class FlowNetwork(_FlowOwner):
         self._mark(flow._lslots)
         return flow.remaining
 
-    def consume(self, links: "Iterable[Link | int]", nbytes: float,
+    def consume(self, links: Iterable[Link], nbytes: float,
                 cap: float = math.inf, label: str = ""):
         """``yield from``-able: transfer and wait, withdrawing on interrupt."""
         flow = self.transfer(links, nbytes, cap, label)
@@ -573,9 +492,9 @@ class FlowNetwork(_FlowOwner):
             raise
         return flow
 
-    def busy_time(self, link: "Link | int") -> float:
-        """Capacity-normalized busy integral of *link* (a handle or slot),
-        each span normalized by the capacity in force during it."""
+    def busy_time(self, link: Link) -> float:
+        """Capacity-normalized busy integral of *link*, each span
+        normalized by the capacity in force during it."""
         s = self._resolve_slot(link)
         self._settle()
         return (self._busy_fold.get(s, 0.0)
@@ -838,9 +757,7 @@ class FlowNetwork(_FlowOwner):
             stats.flows_touched += len(live)
             stats.links_touched += self._nl
             self._dirty.clear()
-            progressive_fill(list(live),
-                             [self._materialize(i)
-                              for i in range(self._nl)])
+            progressive_fill(list(live), self._link_objs)
             return
         if not self._dirty:
             return

@@ -87,17 +87,10 @@ class InterferenceProbe:
         (every wire byte is copied ``copy_factor`` times over the bus)."""
         rate = 0.0
         if self._net is not None:
-            # Match on link *slots*: network flows carry their path as
-            # slot tuples and materialize Link handles lazily, so an
-            # identity test against node.rx/node.tx would force handle
-            # creation for every store flow at every probe tick.
-            rx = -1 if node.rx is None else node.rx._slot
-            tx = -1 if node.tx is None else node.tx._slot
+            rx, tx = node.rx, node.tx
             for f in self._net.flows:
-                if not f.label.startswith("store:"):
-                    continue
-                ls = f._lslots
-                if (rx >= 0 and rx in ls) or (tx >= 0 and tx in ls):
+                if f.label.startswith("store:") and (rx in f.links
+                                                     or tx in f.links):
                     rate += f.rate * self._copy_factor
         return rate / node.spec.memory_bandwidth
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import DAS5, Fabric, Node, OutOfMemory, build_das5
 from repro.sim import Environment
+from repro.sim.flownet import Link
 from repro.units import GB
 
 
@@ -87,6 +88,16 @@ class TestFabric:
         f = cluster.fabric.transfer(a, b, 6 * GB)
         env.run(until=f.done)
         assert env.now == pytest.approx(1.0)
+        # Every hop is the network's own Link handle, and a flow keeps
+        # the tuple it crossed.
+        net = cluster.fabric.net
+        path = cluster.fabric.path(a, b, "tcp")
+        assert [l.name for l in path] == [
+            f"{a.name}.itx", f"{a.name}.tx", f"{b.name}.rx", f"{b.name}.irx"]
+        assert all(isinstance(l, Link) and l is net.link(l.name)
+                   for l in path)
+        g = cluster.fabric.transfer(a, b, GB, transport="tcp")
+        assert g.links == path
 
     def test_incast_shares_receiver_nic(self, env):
         cluster = build_das5(env, n_nodes=5)

@@ -74,7 +74,6 @@ class TestStealingBackend:
         assert [r.spec for r in stealing] == specs
         assert exec_stats.sweeps_stealing == 1
         assert exec_stats.sched_workers_spawned == 2
-        assert exec_stats.sched_heartbeats > 0
 
     def test_timeline_records_every_completion(self):
         specs = [fig2_spec(a, **TINY) for a in (0.0, 1.0)]

@@ -35,7 +35,7 @@ SCHEMA = {
         "store_misses", "store_invalidations", "store_stores",
         "store_evictions", "store_gc_orphans",
         "store_bytes", "sched_workers_spawned", "sched_worker_restarts",
-        "sched_requeues", "sched_heartbeats"), int),
+        "sched_requeues"), int),
     "solver": dict.fromkeys((
         "solves", "full_solves", "rounds", "flows_touched",
         "links_touched", "batch_coalesced", "stalemates"), int),

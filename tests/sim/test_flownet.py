@@ -163,7 +163,7 @@ class TestFlowNetworkDynamics:
         env = Environment()
         net = FlowNetwork(env)
         tx = net.add_link("tx", 10.0)
-        rx = net.add_link_lean("rx", 10.0)
+        rx = net.add_link("rx", 10.0)
         f = net.transfer([tx, rx], 10.0)
         env.run(until=f.done)
         assert env.now == 1.0
@@ -178,27 +178,24 @@ class TestFlowNetworkDynamics:
         env.run(until=g.done)
         assert net.busy_time(tx) == 2.0
 
-    def test_busy_time_accepts_lean_slot(self):
-        env = Environment()
-        net = FlowNetwork(env)
-        tx = net.add_link_lean("tx", 100.0)
-        rx = net.add_link("rx", 100.0)
-        f = net.transfer([tx, rx], 500.0, cap=50.0)
-        env.run(until=f.done)
-        assert net.busy_time(tx) == pytest.approx(5.0)
-        assert net.busy_time(tx) == net.busy_time(rx)
-        with pytest.raises(SimulationError):
-            net.busy_time(2)
-
     def test_busy_time_rejects_foreign_link(self):
+        """Every call that takes a link refuses another network's Link
+        and a raw slot int, and leaves the network as it was."""
         env = Environment()
         net1, L1 = make_net(env)
         net2, L2 = make_net(env)
         f = net1.transfer([L1["tx0"], L1["rx1"]], 500.0)
         env.run(until=f.done)
         assert net1.busy_time(L1["tx0"]) == pytest.approx(5.0)
-        with pytest.raises(SimulationError):
-            net1.busy_time(L2["tx0"])
+        for bad in (L2["tx0"], L1["tx0"]._slot):
+            with pytest.raises(SimulationError):
+                net1.busy_time(bad)
+            with pytest.raises(SimulationError):
+                net1.set_capacity(bad, 10.0)
+            with pytest.raises(SimulationError):
+                net1.transfer([L1["tx0"], bad], 10.0)
+        assert not net1.flows and not net2.flows
+        assert L1["tx0"].capacity == L2["tx0"].capacity == 100.0
 
     def test_cap_and_capacity_are_read_only(self):
         env = Environment()
@@ -432,9 +429,9 @@ class TestFillBranchesExact:
     def test_fill_branches_agree(self, n_nodes, link_caps, flows):
         env = Environment()
         net = FlowNetwork(env)
-        tx = [net.add_link_lean(f"tx{i}", link_caps[2 * i])
+        tx = [net.add_link(f"tx{i}", link_caps[2 * i])
               for i in range(n_nodes)]
-        rx = [net.add_link_lean(f"rx{i}", link_caps[2 * i + 1])
+        rx = [net.add_link(f"rx{i}", link_caps[2 * i + 1])
               for i in range(n_nodes)]
         for hop3, src, mid, dst, work, cap in flows:
             path = [tx[src % n_nodes], rx[dst % n_nodes]]
@@ -505,16 +502,16 @@ class TestFillBranchesExact:
         def build():
             env = Environment()
             net = FlowNetwork(env)
-            tx = [net.add_link_lean(f"tx{i}", link_caps[2 * i])
+            tx = [net.add_link(f"tx{i}", link_caps[2 * i])
                   for i in range(n_nodes)]
-            rx = [net.add_link_lean(f"rx{i}", link_caps[2 * i + 1])
+            rx = [net.add_link(f"rx{i}", link_caps[2 * i + 1])
                   for i in range(n_nodes)]
             # A lone flow on its own links, and a lone flow crossing one
             # link twice: that link counts it twice per round, so only
             # the general loop fills it right (rate 10/2, not 10).
-            a, b = (net.add_link_lean(n, c) for n, c in
+            a, b = (net.add_link(n, c) for n, c in
                     (("a", link_caps[0]), ("b", link_caps[1])))
-            x, y = net.add_link_lean("x", 10.0), net.add_link_lean("y", 97.0)
+            x, y = net.add_link("x", 10.0), net.add_link("y", 97.0)
             made = []
             for hop3, src, mid, dst, work, cap in [lone] + flows:
                 path = [tx[src % n_nodes], rx[dst % n_nodes]]
@@ -528,7 +525,7 @@ class TestFillBranchesExact:
                 net.remove(f)
             # A link no flow crosses, so the general fill below can pad a
             # component with it and never take a shortcut.
-            spare = net.add_link_lean("spare", 1.0)
+            spare = net.add_link("spare", 1.0)._slot
             net._dirty.update(range(spare))
             net._l_used[:] = [-1.0] * net._nl
             return net, spare, loop
@@ -655,8 +652,8 @@ class TestLoadedLinkSettle:
                 elif kind == "remove" and created:
                     net.remove(created[op[1] % len(created)])
                 elif kind == "capacity":
-                    s = op[1]
-                    set_capacity(s, net._l_cap[s] * op[2])
+                    link = net.links[op[1]]
+                    set_capacity(link, link.capacity * op[2])
                 elif kind == "degrade":
                     heals.append(fabric.degrade_node(f"n{op[1]}", op[2]))
                 elif kind == "heal" and heals:
@@ -671,9 +668,8 @@ class TestLoadedLinkSettle:
         proc = env.process(driver())
         env.run()
         assert proc.triggered and proc.ok
-        for s in range(nl):
-            link = net._materialize(s)
-            assert net.busy_time(s) == fold[s] + busy[s] / net._l_cap[s]
+        for s, link in enumerate(net.links):
+            assert net.busy_time(link) == fold[s] + busy[s] / net._l_cap[s]
             want = {p: v for p, v in cb[s].items() if v != 0.0}
             assert link.class_bytes == want
             assert link.class_bytes_of("store") == want.get("store", 0.0)

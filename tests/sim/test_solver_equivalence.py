@@ -21,15 +21,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Environment, FlowNetwork, SimulationError, flownet_stats
-from repro.sim.flownet import Link, NetFlow, progressive_fill
+from repro.sim.flownet import NetFlow, progressive_fill
 
 CAP = 100.0
 
 
 def mirror_fill(net):
-    """Run the oracle on detached clones of *net*'s current state."""
-    links = {l.name: Link(l.name, l.capacity) for l in net.links}
+    """Run the oracle on clones of *net*'s current state, built on a
+    second network that never solves."""
     env = Environment(net.env.now)
+    twin = FlowNetwork(env)
+    links = {l.name: twin.add_link(l.name, l.capacity) for l in net.links}
     clones = []
     for f in net.flows:
         clone = NetFlow(env, tuple(links[l.name] for l in f.links),
@@ -316,7 +318,7 @@ class TestStalemate:
         """A NaN cap on an infinite link defeats every fixing rule: the
         round fixes nothing and the solver must warn (once) and count."""
         env = Environment()
-        link = Link("weird", math.inf)
+        link = FlowNetwork(env).add_link("weird", math.inf)
         flow = NetFlow(env, (link,), 1e6, cap=float("nan"), label="")
         flownet_stats.reset()
         with warnings.catch_warnings(record=True) as caught:
