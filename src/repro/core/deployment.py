@@ -67,8 +67,8 @@ class DeploymentConfig:
     # units and the sweep cache keys change only through scaled().
     scale: int = 1
     # The placement policy: node classes and their data fractions (the
-    # own fraction is the paper's α), hash family and redundancy
-    # (replication or erasure coding).
+    # own fraction is the paper's α) and redundancy (replication or
+    # erasure coding).
     policy: PlacementPolicy = PlacementPolicy.own_victim(0.25)
 
     def __post_init__(self):

@@ -1,8 +1,8 @@
 """The one counter protocol every process-wide ``*_stats`` object shares.
 
 Each subsystem keeps a singleton of cumulative counters (pressure,
-faults, availability, placement planner, flow solver, weight fit, lease
-market, sweep executor).  They all zero the same way and snapshot the
+faults, availability, placement planner, flow solver, lease market,
+sweep executor).  They all zero the same way and snapshot the
 same way, so the protocol lives here once: a subclass names its
 counters in a class-level ``_COUNTERS`` tuple, and ``_CAST`` picks the
 type each snapshot value is converted to (``None`` keeps the value as

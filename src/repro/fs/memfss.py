@@ -535,7 +535,7 @@ class MemFSS:
 
     def _plan_for(self, meta: FileMeta):
         """The stripe plan of *meta* under its recorded (interned) policy."""
-        policy = PlacementMap.from_meta(meta, self.policy.family)
+        policy = PlacementMap.from_meta(meta)
         return policy.plan_file(meta.inode, meta.n_stripes,
                                 erasure=meta.erasure)
 

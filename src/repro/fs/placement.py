@@ -32,8 +32,8 @@ from typing import Hashable, Mapping, Sequence
 import numpy as np
 
 from ..counters import Counters
-from ..hashing import HashFamily, HrwHasher, MIX64, WeightedClassHrw
-from ..hashing.hrw import get_family, stable_digest
+from ..hashing import HrwHasher, WeightedClassHrw
+from ..hashing.hrw import stable_digest
 from .erasure import group_layout, parity_key
 from .metadata import FileMeta
 from .striping import stripe_digest_array, stripe_key
@@ -59,19 +59,20 @@ class PlannerStats(Counters):
 
 planner_stats = PlannerStats()
 
-#: Interned policies, keyed by (family, ordered class snapshot).
+#: Interned policies, keyed by their ordered class snapshot.
 _POLICY_CACHE: "OrderedDict[tuple, PlacementMap]" = OrderedDict()
 _POLICY_CACHE_SIZE = 128
 #: Per-policy plan cache bound (plans hold O(n_keys × n_nodes) arrays).
 _PLAN_CACHE_SIZE = 64
 
 
-def _policy_token(family: HashFamily,
-                  classes: Mapping[str, "ClassSpec"]) -> tuple:
-    """Intern-cache key of a policy snapshot."""
-    return (family.name,
-            tuple((c, float(spec.weight), spec.nodes)
-                  for c, spec in classes.items()))
+def _policy_token(weights: Mapping[str, float],
+                  members: Mapping[str, Sequence[str]]) -> tuple:
+    """Intern-cache key of a policy snapshot: ``(class, weight, nodes)``
+    per class, in class order.  Takes the :class:`FileMeta` mappings as
+    stored, so :meth:`PlacementMap.from_meta` keys a lookup without
+    building a policy."""
+    return tuple((c, float(weights[c]), tuple(members[c])) for c in weights)
 
 
 def clear_placement_caches() -> None:
@@ -446,8 +447,7 @@ def assign_coded_scalar(policy: "PlacementMap", inode: int, n_stripes: int,
 class PlacementMap:
     """Immutable two-layer placement over named node classes."""
 
-    def __init__(self, classes: dict[str, ClassSpec],
-                 family: str | HashFamily = MIX64):
+    def __init__(self, classes: dict[str, ClassSpec]):
         if not classes:
             raise ValueError("need at least one class")
         all_nodes = [n for spec in classes.values() for n in spec.nodes]
@@ -455,12 +455,10 @@ class PlacementMap:
             raise ValueError("a node may belong to only one class")
         if not any(spec.nodes for spec in classes.values()):
             raise ValueError("at least one class must have nodes")
-        self.family = get_family(family)
         self._classes = dict(classes)
         self._layer1 = WeightedClassHrw(
-            {name: spec.weight for name, spec in classes.items()},
-            self.family)
-        self._layer2 = {name: HrwHasher(spec.nodes, self.family)
+            {name: spec.weight for name, spec in classes.items()})
+        self._layer2 = {name: HrwHasher(spec.nodes)
                         for name, spec in classes.items() if spec.nodes}
         self._ne_classes = [name for name, spec in classes.items()
                             if spec.nodes]
@@ -593,7 +591,7 @@ class PlacementMap:
         return weights, members
 
     def _intern_token(self) -> tuple:
-        return _policy_token(self.family, self._classes)
+        return _policy_token(*self.snapshot())
 
     @staticmethod
     def _intern_get(token: tuple) -> "PlacementMap | None":
@@ -629,40 +627,35 @@ class PlacementMap:
         return cls._intern_put(token, policy)
 
     @classmethod
-    def from_meta(cls, meta: FileMeta,
-                  family: str | HashFamily = MIX64) -> "PlacementMap":
+    def from_meta(cls, meta: FileMeta) -> "PlacementMap":
         """The (interned) policy a file was written under.
 
         Reconstruction is keyed by the metadata snapshot, so repeated
         reads/unlinks of files written under the same policy reuse one
         instance instead of rebuilding the hashers per call.
         """
-        fam = get_family(family)
-        token = (fam.name,
-                 tuple((name, float(meta.class_weights[name]),
-                        tuple(meta.class_members[name]))
-                       for name in meta.class_weights))
+        token = _policy_token(meta.class_weights, meta.class_members)
         cached = cls._intern_get(token)
         if cached is not None:
             return cached
         classes = {name: ClassSpec(meta.class_weights[name],
                                    tuple(meta.class_members[name]))
                    for name in meta.class_weights}
-        return cls._intern_put(token, cls(classes, fam))
+        return cls._intern_put(token, cls(classes))
 
     # -- evolution ---------------------------------------------------------------
     def with_class(self, name: str, weight: float,
                    nodes: tuple[str, ...]) -> "PlacementMap":
         classes = dict(self._classes)
         classes[name] = ClassSpec(weight, tuple(nodes))
-        return PlacementMap(classes, self.family)
+        return PlacementMap(classes)
 
     def without_class(self, name: str) -> "PlacementMap":
         classes = dict(self._classes)
         if name not in classes:
             raise KeyError(name)
         del classes[name]
-        return PlacementMap(classes, self.family)
+        return PlacementMap(classes)
 
     def without_node(self, node: str) -> "PlacementMap":
         """Drop one node (failure / eviction) from whichever class holds it."""
@@ -677,7 +670,7 @@ class PlacementMap:
                 classes[cname] = spec
         if not found:
             raise KeyError(node)
-        return PlacementMap(classes, self.family)
+        return PlacementMap(classes)
 
     def without_nodes(self, drop) -> "PlacementMap":
         """The interned policy without every node in *drop* (a container;
@@ -688,26 +681,26 @@ class PlacementMap:
         up before anything is built: hashers are built only on an intern
         miss.  Raises ValueError when no node is left.
         """
-        classes = {}
+        weights, members = {}, {}
         dropped = False
         for cname, spec in self._classes.items():
             rest = tuple(n for n in spec.nodes if n not in drop)
-            if len(rest) != len(spec.nodes):
-                dropped = True
-                spec = ClassSpec(spec.weight, rest)
-            classes[cname] = spec
-        if not dropped:
-            return PlacementMap.intern(self)
-        token = _policy_token(self.family, classes)
+            dropped = dropped or len(rest) != len(spec.nodes)
+            weights[cname] = spec.weight
+            members[cname] = rest
+        token = _policy_token(weights, members)
         cached = self._intern_get(token)
         if cached is not None:
             return cached
-        return self._intern_put(token, PlacementMap(classes, self.family))
+        if not dropped:
+            return self._intern_put(token, self)
+        return self._intern_put(token, PlacementMap(
+            {c: ClassSpec(weights[c], members[c]) for c in weights}))
 
     def reweighted(self, weights: dict[str, float]) -> "PlacementMap":
         classes = {c: ClassSpec(weights.get(c, spec.weight), spec.nodes)
                    for c, spec in self._classes.items()}
-        return PlacementMap(classes, self.family)
+        return PlacementMap(classes)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = ", ".join(f"{c}({len(s.nodes)}n,w={s.weight:.3g})"

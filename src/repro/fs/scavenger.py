@@ -541,7 +541,7 @@ class ScavengingManager(_StripeMover):
                    "deferred_files": 0, "unsourced": 0}
 
         def visit(path, meta):
-            old_policy = PlacementMap.from_meta(meta, self.fs.policy.family)
+            old_policy = PlacementMap.from_meta(meta)
             if old_policy.snapshot() == live_new.snapshot():
                 return
             if budget_bytes is not None and \
@@ -772,7 +772,7 @@ class RepairDaemon(_StripeMover):
     def _scan_file(self, client, meta: FileMeta, path: str,
                    tasks: list, stale: list):
         """Generator: probe one file's fragments, queueing repair tasks."""
-        old_policy = PlacementMap.from_meta(meta, self.fs.policy.family)
+        old_policy = PlacementMap.from_meta(meta)
         dead = any(n not in self.fs.servers for n in old_policy.all_nodes)
         plan = self._live_policy(old_policy).plan_file(
             meta.inode, meta.n_stripes, erasure=meta.erasure)

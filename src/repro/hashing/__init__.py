@@ -1,19 +1,17 @@
 """Placement substrate: HRW / weighted-class HRW, consistent hashing, modulo."""
 
-from .hrw import (HashFamily, HrwHasher, MIX64, TR98, WeightedClassHrw, fnv1a,
-                  hash_mix64, hash_mix64_batch, hash_tr98, hash_tr98_batch,
-                  stable_digest)
-from .weights import (WeightFitStats, achieved_fractions, calibrate_weights,
-                      own_victim_weights,
-                      two_class_weights, weight_fit_stats)
+from .hrw import (MODULUS, HrwHasher, WeightedClassHrw, fnv1a, hash_mix64,
+                  hash_mix64_batch2, stable_digest)
+from .weights import (achieved_fractions, calibrate_weights,
+                      own_victim_weights, two_class_weights)
 from .consistent import ConsistentHashRing
 from .modulo import ModuloPlacer
 
 __all__ = [
-    "HashFamily", "HrwHasher", "WeightedClassHrw", "MIX64", "TR98",
-    "hash_mix64", "hash_tr98", "hash_mix64_batch", "hash_tr98_batch",
+    "HrwHasher", "WeightedClassHrw", "MODULUS",
+    "hash_mix64", "hash_mix64_batch2",
     "fnv1a", "stable_digest",
     "two_class_weights", "own_victim_weights", "achieved_fractions",
-    "calibrate_weights", "WeightFitStats", "weight_fit_stats",
+    "calibrate_weights",
     "ConsistentHashRing", "ModuloPlacer",
 ]

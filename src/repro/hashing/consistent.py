@@ -15,7 +15,7 @@ import bisect
 from collections.abc import Iterable
 from typing import Hashable
 
-from .hrw import HashFamily, MIX64, get_family, stable_digest
+from .hrw import MODULUS, hash_mix64, stable_digest
 
 __all__ = ["ConsistentHashRing"]
 
@@ -28,11 +28,9 @@ class ConsistentHashRing:
     """
 
     def __init__(self, nodes: Iterable[Hashable], vnodes: int = 64,
-                 weights: dict[Hashable, float] | None = None,
-                 family: str | HashFamily = MIX64):
+                 weights: dict[Hashable, float] | None = None):
         if vnodes < 1:
             raise ValueError("vnodes must be >= 1")
-        self.family = get_family(family)
         self.vnodes = vnodes
         self._weights = dict(weights or {})
         self._points: list[int] = []
@@ -53,11 +51,11 @@ class ConsistentHashRing:
         self._nodes.append(node)
         seed = stable_digest(node)
         for v in range(self._vnode_count(node)):
-            point = self.family(seed, stable_digest(("vnode", v)))
+            point = hash_mix64(seed, stable_digest(("vnode", v)))
             idx = bisect.bisect_left(self._points, point)
             # Skip exact collisions deterministically.
             while idx < len(self._points) and self._points[idx] == point:
-                point = (point + 1) % self.family.modulus
+                point = (point + 1) % MODULUS
                 idx = bisect.bisect_left(self._points, point)
             self._points.insert(idx, point)
             self._owners.insert(idx, node)
@@ -82,7 +80,7 @@ class ConsistentHashRing:
     # -- placement ---------------------------------------------------------------
     def place(self, key: Hashable) -> Hashable:
         """Owner = first virtual node clockwise from the key's point."""
-        point = self.family(stable_digest("ring-key"), stable_digest(key))
+        point = hash_mix64(stable_digest("ring-key"), stable_digest(key))
         idx = bisect.bisect_right(self._points, point)
         if idx == len(self._points):
             idx = 0
@@ -92,7 +90,7 @@ class ConsistentHashRing:
         """k distinct successor owners clockwise from the key."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        point = self.family(stable_digest("ring-key"), stable_digest(key))
+        point = hash_mix64(stable_digest("ring-key"), stable_digest(key))
         idx = bisect.bisect_right(self._points, point)
         out: list[Hashable] = []
         n = len(self._points)

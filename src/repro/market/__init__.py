@@ -5,8 +5,8 @@ victim memory into a *market* (Memtrade at cluster scale): victim nodes
 publish :class:`~repro.market.book.MarketOffer`\\ s with explicit terms
 (size, lease duration, revocation-notice period), consumers submit byte
 demands, and a seeded :class:`~repro.market.controller.MarketController`
-clears the book each epoch — recomputing class weights through the
-memoized calibration and migrating only the stripes whose placement
+clears the book each epoch — recomputing class weights from the new
+target fractions and migrating only the stripes whose placement
 actually changed (the :class:`~repro.fs.placement.StripePlan` diff).
 Revocation risk is priced (:mod:`repro.market.risk`) into both the
 controller's α and the admission predictor's store budgets, and victims

@@ -1,8 +1,8 @@
 """The one counter surface: every process-wide ``*_stats`` object by name.
 
 Each subsystem keeps one :class:`~repro.counters.Counters` singleton —
-pressure, faults, availability, placement planner, flow solver, weight
-fit, the lease market, the sweep executor — and every scenario executor
+pressure, faults, availability, placement planner, flow solver, the
+lease market, the sweep executor — and every scenario executor
 has to reset the right ones to keep payloads pure functions of their
 spec (the determinism contract: a scenario must see identical counters
 whether it runs first in a process or fiftieth).  The
@@ -71,7 +71,6 @@ def _default_registry() -> MetricsRegistry:
     from ..faults.stats import fault_stats
     from ..fs.capacity import pressure_stats
     from ..fs.placement import planner_stats
-    from ..hashing.weights import weight_fit_stats
     from ..market.stats import market_stats
     from ..sim.flownet import flownet_stats
 
@@ -82,7 +81,6 @@ def _default_registry() -> MetricsRegistry:
             "availability": avail_stats,
             "planner": planner_stats,
             "solver": flownet_stats,
-            "weight_fit": weight_fit_stats,
             "market": market_stats,
         },
         "executor": {"exec": exec_stats},

@@ -7,7 +7,7 @@ import pytest
 from repro.core import ClassTarget, DeploymentConfig, PlacementPolicy
 from repro.core.deployment import MemFSSDeployment
 from repro.fs.placement import PlacementMap
-from repro.hashing import own_victim_weights, weight_fit_stats
+from repro.hashing import own_victim_weights
 from repro.units import MB
 
 
@@ -47,17 +47,6 @@ class TestPlacementPolicy:
         with pytest.raises(ValueError):
             ClassTarget(fraction=0.5, weight=1.0)
 
-    def test_three_class_calibration_memoized(self):
-        weight_fit_stats.reset()
-        pol = PlacementPolicy.make({"own": 0.5, "burst": 0.3,
-                                    "victim": 0.2})
-        w1 = pol.weights()
-        assert weight_fit_stats.fit_misses == 1
-        w2 = pol.weights()          # second call must hit the memo
-        assert w1 == w2
-        assert weight_fit_stats.fit_hits == 1
-        assert set(w1) == {"own", "burst", "victim"}
-
     def test_with_fraction_rescales_proportionally(self):
         pol = PlacementPolicy.make({"own": 0.5, "b": 0.3, "c": 0.2})
         new = pol.with_fraction("own", 0.8)
@@ -94,7 +83,7 @@ class TestPlacementPolicy:
     def test_frozen(self):
         pol = PlacementPolicy.own_victim(0.25)
         with pytest.raises(AttributeError):
-            pol.family = "other"
+            pol.replication = 2
 
 
 class TestDeploymentConfigPolicy:

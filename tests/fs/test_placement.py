@@ -5,7 +5,7 @@ import collections
 import pytest
 
 from repro.fs import ClassSpec, FileMeta, PlacementMap
-from repro.hashing import MIX64, own_victim_weights
+from repro.hashing import MODULUS, own_victim_weights
 
 
 def make_policy(alpha=0.5, n_own=2, n_victim=4):
@@ -135,5 +135,5 @@ class TestEvolution:
 
     def test_reweighted(self):
         p = make_policy(alpha=0.5)
-        p2 = p.reweighted({"victim": float(MIX64.modulus)})
+        p2 = p.reweighted({"victim": float(MODULUS)})
         assert all(p2.place(("s", i)).startswith("own") for i in range(200))

@@ -196,7 +196,7 @@ class TestCrashAndRepair:
         ok = {v.name: True for v in victims}
         for path in run(cluster, fs.list_all_files(own[0])):
             meta = run(cluster, fs.stat(own[0], path))
-            policy = PlacementMap.from_meta(meta, fs.policy.family)
+            policy = PlacementMap.from_meta(meta)
             plan = policy.plan_file(meta.inode, meta.n_stripes,
                                     erasure=meta.erasure)
             k, m = meta.erasure

@@ -5,7 +5,7 @@ not move a single stripe: stripe locations are persisted in file metadata,
 so batch and scalar resolution have to agree bit-for-bit — including at
 the α = 0 % / 100 % endpoints of Fig. 2 (a class weight equal to the hash
 modulus starves the class entirely) and for degenerate single-node
-classes.  Hypothesis drives both hash families through random policies.
+classes.  Hypothesis drives random policies through both paths.
 """
 
 from collections import OrderedDict
@@ -19,10 +19,7 @@ from repro.fs import (ClassSpec, FileMeta, PlacementMap, StripePlan,
                       planner_stats, stripe_digest_array, stripe_key)
 from repro.fs import placement
 from repro.fs.placement import clear_placement_caches
-from repro.hashing import MIX64, TR98, own_victim_weights, stable_digest
-from repro.hashing.hrw import get_family
-
-FAMILIES = ("mix64", "tr98")
+from repro.hashing import MODULUS, own_victim_weights, stable_digest
 
 
 @st.composite
@@ -30,8 +27,6 @@ def policies(draw, max_nodes=4):
     """Random two-layer policies: 1-3 classes, 0-*max_nodes* nodes each (at
     least one node overall), weights spanning [0, modulus] including both
     endpoints."""
-    family = draw(st.sampled_from(FAMILIES))
-    modulus = get_family(family).modulus
     n_classes = draw(st.integers(1, 3))
     sizes = draw(st.lists(st.integers(0, max_nodes),
                           min_size=n_classes, max_size=n_classes))
@@ -43,8 +38,8 @@ def policies(draw, max_nodes=4):
                               st.floats(0.0, 1.0)))
         nodes = tuple(f"n{serial + i}" for i in range(size))
         serial += size
-        classes[f"c{ci}"] = ClassSpec(frac * modulus, nodes)
-    return PlacementMap(classes, family)
+        classes[f"c{ci}"] = ClassSpec(frac * MODULUS, nodes)
+    return PlacementMap(classes)
 
 
 def keys_for(inode, n):
@@ -78,16 +73,15 @@ class TestPlanEquivalence:
                 assert plan.chain(i, k) == policy.ranked(key, k=k)
             assert plan.chain(i) == policy.ranked(key)
 
-    @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("alpha", [0.0, 0.25, 1.0])
-    def test_starved_endpoints(self, family, alpha):
+    def test_starved_endpoints(self, alpha):
         """Fig. 2's α endpoints: one class carries weight == modulus and
         must receive nothing, in scalar and batch resolution alike."""
-        w = own_victim_weights(alpha, family)
+        w = own_victim_weights(alpha)
         policy = PlacementMap({
             "own": ClassSpec(w["own"], ("o0", "o1")),
             "victim": ClassSpec(w["victim"], ("v0", "v1", "v2")),
-        }, family)
+        })
         keys = keys_for(9, 400)
         plan = policy.plan(keys)
         assert list(plan.primaries) == [policy.place(k) for k in keys]
@@ -96,12 +90,11 @@ class TestPlanEquivalence:
         elif alpha == 1.0:
             assert all(p.startswith("o") for p in plan.primaries)
 
-    @pytest.mark.parametrize("family", FAMILIES)
-    def test_single_node_class(self, family):
+    def test_single_node_class(self):
         policy = PlacementMap({
             "solo": ClassSpec(0.0, ("lonely",)),
             "rest": ClassSpec(0.0, ("a", "b")),
-        }, family)
+        })
         keys = keys_for(5, 200)
         plan = policy.plan(keys)
         assert list(plan.primaries) == [policy.place(k) for k in keys]
@@ -116,23 +109,17 @@ class TestPlanEquivalence:
     def test_golden_placements_pinned(self):
         """Placements recorded from the pre-refactor scalar implementation:
         persisted stripe locations must never silently change."""
-        golden = {
-            "mix64": ["v0", "v2", "v11", "o1", "v5", "v9",
-                      "v7", "v9", "v6", "v4", "v9", "v1"],
-            "tr98": ["v7", "v3", "v5", "v8", "o2", "v11",
-                     "v0", "v11", "v10", "v11", "v11", "v11"],
-        }
+        expect = ["v0", "v2", "v11", "o1", "v5", "v9",
+                  "v7", "v9", "v6", "v4", "v9", "v1"]
         keys = [("stripe", 7, i) for i in range(12)]
-        for family, expect in golden.items():
-            w = own_victim_weights(0.25, family)
-            policy = PlacementMap({
-                "own": ClassSpec(w["own"],
-                                 tuple(f"o{i}" for i in range(4))),
-                "victim": ClassSpec(w["victim"],
-                                    tuple(f"v{i}" for i in range(12))),
-            }, family)
-            assert [policy.place(k) for k in keys] == expect
-            assert list(policy.plan(keys).primaries) == expect
+        w = own_victim_weights(0.25)
+        policy = PlacementMap({
+            "own": ClassSpec(w["own"], tuple(f"o{i}" for i in range(4))),
+            "victim": ClassSpec(w["victim"],
+                                tuple(f"v{i}" for i in range(12))),
+        })
+        assert [policy.place(k) for k in keys] == expect
+        assert list(policy.plan(keys).primaries) == expect
 
 
 class TestPolicyInterning:
@@ -146,8 +133,8 @@ class TestPolicyInterning:
     @settings(max_examples=40, deadline=None)
     def test_from_meta_round_trip_is_interned(self, policy):
         meta = self.make_meta(policy)
-        first = PlacementMap.from_meta(meta, policy.family)
-        assert PlacementMap.from_meta(meta, policy.family) is first
+        first = PlacementMap.from_meta(meta)
+        assert PlacementMap.from_meta(meta) is first
         # The freshly built policy has the same snapshot -> same instance.
         assert PlacementMap.intern(policy) is first
 
@@ -156,7 +143,7 @@ class TestPolicyInterning:
         policy = PlacementMap.intern(
             PlacementMap({"a": ClassSpec(0.0, ("x", "y"))}))
         meta = self.make_meta(policy)
-        again = PlacementMap.from_meta(meta, policy.family)
+        again = PlacementMap.from_meta(meta)
         assert again is policy
         plan = policy.plan_file(1, 10)
         assert again.plan_file(1, 10) is plan
@@ -168,23 +155,14 @@ class TestPolicyInterning:
             PlacementMap({"a": ClassSpec(0.0, ("x", "y"))}))
         assert a is not b
 
-    def test_family_part_of_intern_key(self):
-        weights = {"a": 0.0}
-        members = {"a": ["x", "y"]}
-        meta = FileMeta(path="/f", inode=1, size=10, stripe_size=10,
-                        n_stripes=1, class_weights=weights,
-                        class_members=members)
-        assert PlacementMap.from_meta(meta, MIX64) is not \
-            PlacementMap.from_meta(meta, TR98)
-
     def test_counters_move(self):
         clear_placement_caches()
         policy = PlacementMap.intern(
             PlacementMap({"a": ClassSpec(0.0, ("x", "y"))}))
         meta = self.make_meta(policy)
-        PlacementMap.from_meta(meta, policy.family)
+        PlacementMap.from_meta(meta)
         before = planner_stats.snapshot()
-        PlacementMap.from_meta(meta, policy.family)
+        PlacementMap.from_meta(meta)
         policy.plan_file(1, 10)
         policy.plan_file(1, 10)
         after = planner_stats.snapshot()

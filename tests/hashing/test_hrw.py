@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hashing import (HrwHasher, MIX64, TR98, WeightedClassHrw,
-                           hash_mix64, hash_tr98, stable_digest)
+from repro.hashing import (MODULUS, HrwHasher, WeightedClassHrw, hash_mix64,
+                           hash_mix64_batch2, stable_digest)
 
 
 class TestStableDigest:
@@ -36,26 +36,13 @@ class TestHashFunctions:
             v = hash_mix64(stable_digest(f"s{i}"), stable_digest(f"k{i}"))
             assert 0 <= v < 2**64
 
-    def test_tr98_range(self):
-        for i in range(100):
-            v = hash_tr98(i * 977, i * 31 + 7)
-            assert 0 <= v < 2**31
-
     def test_batch_matches_scalar_mix64(self):
-        seeds = stable_digest("node-3")
+        seeds = [stable_digest(f"node-{i}") for i in range(4)]
         digests = np.array([stable_digest(f"k{i}") for i in range(50)],
                            dtype=np.uint64)
-        batch = MIX64.batch(seeds, digests)
-        scalar = [hash_mix64(seeds, int(d)) for d in digests]
-        assert batch.tolist() == scalar
-
-    def test_batch_matches_scalar_tr98(self):
-        seed = stable_digest("node-3")
-        digests = np.array([stable_digest(f"k{i}") for i in range(50)],
-                           dtype=np.uint64)
-        batch = TR98.batch(seed, digests)
-        scalar = [hash_tr98(seed, int(d)) for d in digests]
-        assert batch.tolist() == scalar
+        grid = hash_mix64_batch2(np.array(seeds, dtype=np.uint64), digests)
+        scalar = [[hash_mix64(s, int(d)) for d in digests] for s in seeds]
+        assert grid.tolist() == scalar
 
 
 class TestHrwHasher:
@@ -169,19 +156,19 @@ class TestWeightedClassHrw:
         assert counts["a"] == pytest.approx(2000, rel=0.1)
 
     def test_heavier_weight_gets_less(self):
-        m = MIX64.modulus
+        m = MODULUS
         layer = WeightedClassHrw({"own": 0.0, "victim": 0.5 * m})
         counts = collections.Counter(
             layer.choose_class(f"k{i}") for i in range(4000))
         assert counts["own"] > counts["victim"]
 
     def test_full_weight_starves_class(self):
-        m = MIX64.modulus
+        m = MODULUS
         layer = WeightedClassHrw({"own": 0.0, "victim": float(m)})
         assert all(layer.choose_class(f"k{i}") == "own" for i in range(500))
 
     def test_batch_matches_scalar(self):
-        m = MIX64.modulus
+        m = MODULUS
         layer = WeightedClassHrw({"own": 0.0, "victim": 0.3 * m})
         keys = [f"key-{i}" for i in range(300)]
         digests = np.array([stable_digest(k) for k in keys], dtype=np.uint64)
@@ -207,7 +194,7 @@ class TestWeightedClassHrw:
         with pytest.raises(ValueError):
             WeightedClassHrw({"a": -1.0, "b": 0.0})
         with pytest.raises(ValueError):
-            WeightedClassHrw({"a": float(MIX64.modulus) * 2, "b": 0.0})
+            WeightedClassHrw({"a": float(MODULUS) * 2, "b": 0.0})
         with pytest.raises(ValueError):
             WeightedClassHrw({})
 
@@ -225,21 +212,18 @@ class TestWeightedClassHrw:
 class TestBatchResolution:
     """The vectorized callables behind the batch-first planner."""
 
-    @pytest.mark.parametrize("family", [MIX64, TR98])
-    def test_rank_batch_matches_ranked(self, family):
+    def test_rank_batch_matches_ranked(self):
         nodes = [f"n{i}" for i in range(9)]
-        h = HrwHasher(nodes, family)
+        h = HrwHasher(nodes)
         keys = [("stripe", 3, i) for i in range(100)]
         digests = np.array([stable_digest(k) for k in keys], dtype=np.uint64)
         order = h.rank_batch(digests)
         for i, k in enumerate(keys):
             assert [nodes[j] for j in order[i]] == h.ranked(k)
 
-    @pytest.mark.parametrize("family", [MIX64, TR98])
-    def test_class_rank_batch_matches_scores(self, family):
-        m = family.modulus
-        layer = WeightedClassHrw(
-            {"a": 0.0, "b": 0.4 * m, "c": float(m)}, family)
+    def test_class_rank_batch_matches_scores(self):
+        m = MODULUS
+        layer = WeightedClassHrw({"a": 0.0, "b": 0.4 * m, "c": float(m)})
         keys = [f"key-{i}" for i in range(100)]
         digests = np.array([stable_digest(k) for k in keys], dtype=np.uint64)
         order = layer.rank_batch(digests)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hashing import (MIX64, TR98, achieved_fractions, calibrate_weights,
+from repro.hashing import (MODULUS, achieved_fractions, calibrate_weights,
                            own_victim_weights, two_class_weights)
 
 
@@ -16,13 +16,13 @@ class TestTwoClassWeights:
 
     def test_zero_fraction_starves_first(self):
         w1, w2 = two_class_weights(0.0)
-        assert w1 == pytest.approx(float(MIX64.modulus))
+        assert w1 == pytest.approx(float(MODULUS))
         assert w2 == 0.0
 
     def test_one_fraction_starves_second(self):
         w1, w2 = two_class_weights(1.0)
         assert w1 == 0.0
-        assert w2 == pytest.approx(float(MIX64.modulus))
+        assert w2 == pytest.approx(float(MODULUS))
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -35,12 +35,6 @@ class TestTwoClassWeights:
         weights = own_victim_weights(alpha)
         got = achieved_fractions(weights, samples=100_000)
         assert got["own"] == pytest.approx(alpha, abs=0.01)
-
-    @pytest.mark.parametrize("alpha", [0.25, 0.5])
-    def test_tr98_family_also_calibrates(self, alpha):
-        weights = own_victim_weights(alpha, family=TR98)
-        got = achieved_fractions(weights, family=TR98, samples=100_000)
-        assert got["own"] == pytest.approx(alpha, abs=0.015)
 
     @given(st.floats(min_value=0.02, max_value=0.98))
     @settings(max_examples=15, deadline=None)

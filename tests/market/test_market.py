@@ -458,19 +458,3 @@ class TestMetricsRegistry:
         assert "market" in snap
         assert "pressure" in snap
         assert "exec" in snap
-
-    def test_scenario_reset_clears_weight_fit_cache(self):
-        # Determinism contract: identical counters whether a scenario
-        # runs first in a process or fiftieth — so the scenario reset
-        # must drop the fit memo, not just zero the hit/miss counters.
-        from repro.hashing import calibrate_weights, weight_fit_stats
-        from repro.metrics import metrics_registry
-        fracs = {"own": 0.5, "victim": 0.3, "cold": 0.2}
-        calibrate_weights(fracs)             # warm the memo
-        metrics_registry.reset()
-        calibrate_weights(fracs)
-        assert weight_fit_stats.fit_misses == 1   # cold again
-        assert weight_fit_stats.fit_hits == 0
-        calibrate_weights(fracs)
-        assert weight_fit_stats.fit_hits == 1     # memo works in-scenario
-        metrics_registry.reset()

@@ -12,7 +12,6 @@ from repro.exec.stats import exec_stats
 from repro.faults import avail_stats, fault_stats
 from repro.fs import pressure_stats
 from repro.fs.placement import planner_stats
-from repro.hashing import weight_fit_stats
 from repro.market.stats import market_stats
 from repro.metrics import metrics_registry
 from repro.sim import Environment, Monitor, flownet_stats
@@ -58,14 +57,12 @@ SCHEMA = {
     "planner": dict.fromkeys((
         "policy_hits", "policy_misses", "plan_hits", "plan_misses",
         "stripes_resolved"), int),
-    "weight_fit": dict.fromkeys((
-        "fit_hits", "fit_misses", "closed_form"), int),
 }
 
 STATS = {"exec": exec_stats, "solver": flownet_stats,
          "faults": fault_stats, "availability": avail_stats,
          "market": market_stats, "pressure": pressure_stats,
-         "planner": planner_stats, "weight_fit": weight_fit_stats}
+         "planner": planner_stats}
 
 
 @pytest.fixture(autouse=True)
