@@ -205,10 +205,13 @@ class Process(Event):
                 self.succeed(stop.value)
             return
         except BaseException as exc:
+            # Failures are delivered through the process event (so a
+            # parent waiting on it — directly, via run(until=...), or
+            # through AllOf/AnyOf — re-raises them) instead of tearing
+            # down the whole event loop; a crashed background task must
+            # not take unrelated simulation state with it.
             if not self._triggered:
                 self.fail(exc)
-            if not self.env._catch_process_errors:
-                raise
             return
         if not isinstance(target, Event):
             self.generator.throw(SimulationError(
@@ -335,12 +338,6 @@ class Environment:
         # wakeup instead of O(log n) heap churn per flow.
         self._nowq: deque[tuple[int, Event]] = deque()
         self._counter = itertools.count()
-        # Process failures are delivered through the process event (so a
-        # parent waiting on it — directly, via run(until=...), or through
-        # AllOf/AnyOf — re-raises them) instead of tearing down the whole
-        # event loop; a crashed background task must not take unrelated
-        # simulation state with it.
-        self._catch_process_errors = True
         # Free pool of _Callback slots for call_later (slot reuse keeps
         # the rebalance-heavy fluid layers from allocating one Timeout +
         # lambda per scheduled wakeup).
